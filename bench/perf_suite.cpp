@@ -12,7 +12,8 @@
 //   $ ./bench_perf_suite --out my.json
 //
 // Metric naming: <metric>/<family>/n<verts>[/k<parts>]. Direction is
-// encoded in the metric name: *_per_sec is higher-is-better, *_sec is
+// encoded in the metric name: *_per_sec, *_ratio and *_gain are
+// higher-is-better, everything else (*_sec, objective values) is
 // lower-is-better — bench_diff.py keys off the suffix.
 #include <algorithm>
 #include <atomic>
@@ -38,7 +39,6 @@
 #include "net/event_loop.hpp"
 #include "persist/atomic_file.hpp"
 #include "service/net.hpp"
-#include "service/server.hpp"
 #include "service/service.hpp"
 #include "persist/checkpoint.hpp"
 #include "refine/kway_fm.hpp"
@@ -503,7 +503,7 @@ int main(int argc, char** argv) {
       };
       spread("evolve_cold_mcut", cold);
       spread("evolve_seeded_mcut", fed);
-      record(point_name("evolve_gain_mcut", pt.family, g.num_vertices(),
+      record(point_name("evolve_mcut_gain", pt.family, g.num_vertices(),
                         pt.k),
              cold.front() - fed.front(), "obj");
     }
@@ -542,110 +542,88 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------ contended service throughput ------
-  // serve_contended_jobs_per_sec/<mode>/c<clients>: wall-clock throughput
-  // of the FULL serving stack — loopback TCP, protocol parse, engine,
-  // result cache — under C concurrent client connections, for both
-  // transports (thread-per-connection vs the epoll event loop). Each
-  // client runs its own distinct spec: one real solve then three repeats,
-  // submit→result sequentially, so the cache hit ratio is exactly 0.75 by
-  // construction (serve_contended_cache_hit_ratio pins that the cache
-  // keeps working under contention; it is not a tunable).
-  //
-  // Caveat for trend readers: on a single-core or throttled runner the
-  // two transports converge — the comparison is about scheduling
-  // overhead, which needs real parallelism to show.
+  // serve_contended_jobs_per_sec/eventloop/c<clients>: wall-clock
+  // throughput of the FULL serving stack — loopback TCP on the event loop,
+  // protocol parse, engine, result cache — under C concurrent client
+  // connections. Each client runs its own distinct spec: one real solve
+  // then three repeats, submit→result sequentially, so the cache hit ratio
+  // is exactly 0.75 by construction (serve_contended_cache_hit_ratio pins
+  // that the cache keeps working under contention; it is not a tunable).
   {
     const std::vector<int> fleets =
         quick ? std::vector<int>{8} : std::vector<int>{8, 64, 256};
     constexpr int kJobsPerClient = 4;
-    for (const std::string mode : {"thread", "eventloop"}) {
-      for (const int clients : fleets) {
-        ServiceOptions sopt;
-        sopt.runners = 2;
-        sopt.cache_capacity = 1024;  // every client's entry stays resident
-        ServiceHost host(std::move(sopt));
+    for (const int clients : fleets) {
+      ServiceOptions sopt;
+      sopt.runners = 2;
+      sopt.cache_capacity = 1024;  // every client's entry stays resident
+      ServiceHost host(std::move(sopt));
 
-        std::unique_ptr<TcpServer> tcp;
-        std::unique_ptr<EventLoopServer> loop;
-        int port = 0;
-        // 2x slot slack: a finished client's slot frees only when the
-        // server notices its EOF, and on a loaded single core that lags
-        // the accept of the last connections — without slack a late
-        // client can be shed (a race this axis does not measure).
-        const unsigned slots = static_cast<unsigned>(clients) * 2;
-        if (mode == "thread") {
-          TcpServerOptions topt;
-          topt.port = 0;
-          topt.max_clients = slots;
-          tcp = std::make_unique<TcpServer>(host, std::move(topt));
-          port = tcp->port();
-        } else {
-          EventLoopOptions lopt;
-          lopt.port = 0;
-          lopt.max_clients = slots;
-          loop = std::make_unique<EventLoopServer>(host, std::move(lopt));
-          port = loop->port();
-        }
-        std::thread pump([&] { tcp ? tcp->run() : loop->run(); });
+      EventLoopOptions lopt;
+      lopt.port = 0;
+      // 2x slot slack: a finished client's slot frees only when the
+      // server notices its EOF, and on a loaded single core that lags
+      // the accept of the last connections — without slack a late
+      // client can be shed (a race this axis does not measure).
+      lopt.max_clients = static_cast<unsigned>(clients) * 2;
+      EventLoopServer loop(host.serve_stats(), lopt,
+                           serve_sessions(host, {}));
+      const int port = loop.port();
+      std::thread pump([&loop] { loop.run(); });
 
-        std::atomic<int> failed{0};
-        const auto client_body = [&](int c) {
-          try {
-            const FdHandle conn = tcp_connect(port);
-            LineReader reader(conn);
-            reader.set_timeout_ms(120000);
-            std::string line;
-            for (int j = 0; j < kJobsPerClient; ++j) {
-              const std::string id =
-                  "c" + std::to_string(c) + "j" + std::to_string(j);
-              // Same graph each time; the per-client seed makes the spec
-              // — and therefore the cache entry — this client's own.
-              write_line(conn,
-                         "{\"op\":\"submit\",\"id\":\"" + id +
-                             "\",\"graph\":{\"n\":12,\"edges\":[[0,1],[1,2],"
-                             "[2,3],[3,4],[4,5],[5,6],[6,7],[7,8],[8,9],"
-                             "[9,10],[10,11],[11,0]]},\"k\":3,\"steps\":200,"
-                             "\"seed\":" + std::to_string(1000 + c) + "}");
-              if (!reader.next(line)) throw Error("unexpected EOF");
-              write_line(conn, "{\"op\":\"result\",\"id\":\"" + id + "\"}");
-              if (!reader.next(line)) throw Error("unexpected EOF");
-            }
-          } catch (const std::exception& e) {
-            // A throw escaping a std::thread is std::terminate — convert
-            // to a counted failure the suite can report structurally.
-            failed.fetch_add(1, std::memory_order_relaxed);
-            std::fprintf(stderr, "contended client %d failed: %s\n", c,
-                         e.what());
+      std::atomic<int> failed{0};
+      const auto client_body = [&](int c) {
+        try {
+          const FdHandle conn = tcp_connect(port);
+          LineReader reader(conn);
+          reader.set_timeout_ms(120000);
+          std::string line;
+          for (int j = 0; j < kJobsPerClient; ++j) {
+            const std::string id =
+                "c" + std::to_string(c) + "j" + std::to_string(j);
+            // Same graph each time; the per-client seed makes the spec
+            // — and therefore the cache entry — this client's own.
+            write_line(conn,
+                       "{\"op\":\"submit\",\"id\":\"" + id +
+                           "\",\"graph\":{\"n\":12,\"edges\":[[0,1],[1,2],"
+                           "[2,3],[3,4],[4,5],[5,6],[6,7],[7,8],[8,9],"
+                           "[9,10],[10,11],[11,0]]},\"k\":3,\"steps\":200,"
+                           "\"seed\":" + std::to_string(1000 + c) + "}");
+            if (!reader.next(line)) throw Error("unexpected EOF");
+            write_line(conn, "{\"op\":\"result\",\"id\":\"" + id + "\"}");
+            if (!reader.next(line)) throw Error("unexpected EOF");
           }
-        };
-        const double sec = timed_seconds([&] {
-          std::vector<std::thread> fleet;
-          fleet.reserve(static_cast<std::size_t>(clients));
-          for (int c = 0; c < clients; ++c) {
-            fleet.emplace_back(client_body, c);
-          }
-          for (auto& t : fleet) t.join();
-        });
-        if (tcp != nullptr) {
-          tcp->request_stop();
-        } else {
-          loop->request_stop();
+        } catch (const std::exception& e) {
+          // A throw escaping a std::thread is std::terminate — convert
+          // to a counted failure the suite can report structurally.
+          failed.fetch_add(1, std::memory_order_relaxed);
+          std::fprintf(stderr, "contended client %d failed: %s\n", c,
+                       e.what());
         }
-        pump.join();
-        FFP_CHECK(failed.load() == 0, "contended axis (", mode, ", c",
-                  clients, "): ", failed.load(), " client(s) failed");
+      };
+      const double sec = timed_seconds([&] {
+        std::vector<std::thread> fleet;
+        fleet.reserve(static_cast<std::size_t>(clients));
+        for (int c = 0; c < clients; ++c) {
+          fleet.emplace_back(client_body, c);
+        }
+        for (auto& t : fleet) t.join();
+      });
+      loop.request_stop();
+      pump.join();
+      FFP_CHECK(failed.load() == 0, "contended axis (c", clients, "): ",
+                failed.load(), " client(s) failed");
 
-        const double total = static_cast<double>(clients) * kJobsPerClient;
-        const std::string suffix = mode + "/c" + std::to_string(clients);
-        record("serve_contended_jobs_per_sec/" + suffix,
-               total / std::max(sec, 1e-9), "jobs/s");
-        const auto cache = host.engine().cache_counters();
-        record("serve_contended_cache_hit_ratio/" + suffix,
-               static_cast<double>(cache.hits) /
-                   std::max<double>(
-                       static_cast<double>(cache.hits + cache.misses), 1.0),
-               "ratio");
-      }
+      const double total = static_cast<double>(clients) * kJobsPerClient;
+      const std::string suffix = "eventloop/c" + std::to_string(clients);
+      record("serve_contended_jobs_per_sec/" + suffix,
+             total / std::max(sec, 1e-9), "jobs/s");
+      const auto cache = host.engine().cache_counters();
+      record("serve_contended_cache_hit_ratio/" + suffix,
+             static_cast<double>(cache.hits) /
+                 std::max<double>(
+                     static_cast<double>(cache.hits + cache.misses), 1.0),
+             "ratio");
     }
   }
 

@@ -9,10 +9,15 @@ The JSON layout is what bench/perf_suite.cpp emits:
 
     {"bench": "...", "schema": 1, "metrics": {"name": value, ...}}
 
-Direction is inferred from the metric name:
+Direction is inferred from the metric name (the part before the first
+"/"):
   - *_per_sec            higher is better (throughput)
+  - *_ratio              higher is better (e.g. cache hit ratios)
+  - *_gain               higher is better (e.g. evolve_mcut_gain)
   - *_sec, *_ms          lower is better (durations)
   - anything else        lower is better (objective/quality values)
+A metric whose baseline is 0 counts as an infinite change in the
+direction it moved.
 
 Only metrics present in BOTH files are compared; metrics only in the new
 run are reported as NEW (informational, with their value — the normal
@@ -35,11 +40,22 @@ reporting. The CI perf-smoke job passes --fail-below non-blockingly today
 
 import argparse
 import json
+import math
 import sys
 
 
+HIGHER_IS_BETTER = ("_per_sec", "_ratio", "_gain")
+
+
 def higher_is_better(name: str) -> bool:
-    return name.split("/")[0].endswith("_per_sec")
+    return name.split("/")[0].endswith(HIGHER_IS_BETTER)
+
+
+def relative_change(old: float, new: float) -> float:
+    """(new - old) / |old|; from a zero baseline, +-inf by direction."""
+    if old == 0:
+        return 0.0 if new == 0 else math.copysign(math.inf, new)
+    return (new - old) / abs(old)
 
 
 def load_metrics(path: str) -> dict:
@@ -86,10 +102,7 @@ def main() -> int:
     print(f"{'metric':<{width}}  {'old':>12}  {'new':>12}  {'change':>8}  note")
     for name in shared:
         o, n = old[name], new[name]
-        if o == 0:
-            change = float("inf") if n != 0 else 0.0
-        else:
-            change = (n - o) / abs(o)
+        change = relative_change(o, n)
         better = change > 0 if higher_is_better(name) else change < 0
         worse_by = -change if higher_is_better(name) else change
         note = ""

@@ -353,23 +353,23 @@ SolveHandle Engine::submit(const Problem& problem, const SolveSpec& spec,
   job.restarts = spec.restarts;
   job.queue_ttl_ms = spec.queue_ttl_ms;
 
-  // Evolutionary portfolio wiring (src/evolve/). Only the FF-family
-  // methods honor the warm-start/incumbent seeding channels with the
-  // never-worsen contract the plan relies on; for anything else an
+  // Evolutionary portfolio wiring (src/evolve/). Only solvers that declare
+  // evolve support honor the warm-start/incumbent seeding channels with
+  // the never-worsen contract the plan relies on; for anything else an
   // evolve spec degrades to a plain (uncached) portfolio. The plan is
   // computed HERE, from one archive snapshot and the spec seed, so the
   // restart workers only read immutable state — byte-identical at any
   // thread count for a fixed archive.
   const evolve::PopulationKey population{problem.digest(), spec.k,
                                          spec.objective};
-  const bool ff_family = resolved.solver->name() == "fusion_fission" ||
-                         resolved.solver->name() == "mlff";
+  const EvolveSupport support = resolved.solver->evolve_support();
   const bool feed_archive =
       impl_->archive.enabled() && resolved.metaheuristic;
-  if (spec.evolve && impl_->archive.enabled() && ff_family) {
+  if (spec.evolve && impl_->archive.enabled() &&
+      support != EvolveSupport::None) {
     auto plan = std::make_shared<const evolve::EvolvePlan>(evolve::plan_evolve(
         impl_->archive, population, spec.restarts, spec.seed,
-        /*allow_crossover=*/resolved.solver->name() == "fusion_fission",
+        /*allow_crossover=*/support == EvolveSupport::Crossover,
         static_cast<std::size_t>(problem.graph().num_vertices())));
     job.seed_restart = [plan, graph = job.graph](int restart,
                                                  SolverRequest& request) {

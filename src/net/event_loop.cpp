@@ -6,21 +6,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <map>
-#include <vector>
+#include <mutex>
+#include <string>
+#include <utility>
 
 #include "util/fault.hpp"
-#include "util/timer.hpp"
 
 namespace ffp {
 
 namespace {
-
-/// LineReader's framing bound, loop edition: a peer streaming an
-/// unbounded line is a protocol error, not an allocation.
-constexpr std::size_t kMaxLineBytes = 1u << 26;
 
 /// recv() chunk per iteration; level-triggered epoll re-notifies, so the
 /// size only trades syscalls against loop fairness.
@@ -57,42 +54,54 @@ void signal_eventfd(int fd) noexcept {
 }  // namespace
 
 /// One connection's state machines. The loop thread owns everything
-/// except the outbound buffer, which engine runner threads append to
-/// through the session's emit closure (guarded by out_mu + the dead
-/// flag); `session` is created and destroyed on the loop thread only.
+/// except the outbound buffer, which any thread appends to through an
+/// emit (guarded by out_mu + the dead flag); the handler is created and
+/// destroyed on the loop thread only.
 struct EventLoopServer::Conn {
   FdHandle fd;
   int raw_fd = -1;  ///< survives fd.reset() for map bookkeeping
+  bool link = false;  ///< dialed by a handler rather than accepted
+  std::size_t max_line_bytes = kMaxRequestLineBytes;
+  double read_timeout_ms = 0;  ///< links: per-line deadline while owed
+  std::unique_ptr<LineHandler> handler;
 
   // Read side (loop thread only).
   std::string inbuf;
-  std::size_t inpos = 0;  ///< start of the first unconsumed byte
+  std::size_t inpos = 0;    ///< start of the first unconsumed byte
+  std::size_t scanned = 0;  ///< inbuf before this holds no newline
   bool read_closed = false;
+  bool owed = false;  ///< owes_reply() when the loop last looked
   double last_activity_ms = 0;
+  std::uint32_t events = EPOLLIN;  ///< current epoll interest
 
-  // Write side (shared with emit closures).
+  // Write side (shared with emits).
   std::mutex out_mu;
   std::string outbuf;
   std::size_t outpos = 0;
-  bool dead = false;  ///< set under out_mu; emits become drops
+  bool dead = false;  ///< set under out_mu by drop(); emits become drops
   double write_stall_since_ms = -1;  ///< -1: not stalled
-  bool want_write = false;  ///< current EPOLLOUT interest
-
-  std::unique_ptr<ServiceSession> session;
 };
 
-/// What the emit closures share with the loop: the dirty list (which
-/// connections grew response bytes) and the wakeup fd. Held by
-/// shared_ptr so a straggler closure on a runner thread outlives run().
+/// What emits share with the loop: the dirty list (which connections grew
+/// outbound bytes) and the wakeup fd. Held by shared_ptr so an emit on a
+/// runner thread can outlive run().
 struct EventLoopServer::LoopState {
   std::mutex mu;
   std::vector<std::weak_ptr<Conn>> dirty;
   int wake_fd = -1;
 
-  void mark_dirty(const std::weak_ptr<Conn>& conn) {
+  void emit(const std::weak_ptr<Conn>& wconn, std::string_view line) {
+    const auto c = wconn.lock();
+    if (c == nullptr) return;
+    {
+      std::lock_guard lock(c->out_mu);
+      if (c->dead) return;
+      c->outbuf += line;
+      c->outbuf += '\n';
+    }
     {
       std::lock_guard lock(mu);
-      dirty.push_back(conn);
+      dirty.push_back(wconn);
     }
     signal_eventfd(wake_fd);
   }
@@ -103,15 +112,11 @@ struct EventLoopServer::LoopState {
   }
 };
 
-EventLoopServer::EventLoopServer(ServiceHost& host, EventLoopOptions options)
-    : host_(host), options_(options) {
+EventLoopServer::EventLoopServer(ServeStats& stats, EventLoopOptions options,
+                                 HandlerFactory factory)
+    : stats_(stats), options_(options), factory_(std::move(factory)) {
   FFP_CHECK(options_.max_clients >= 1,
             "EventLoopServer needs max_clients >= 1");
-  // The loop's transports never block and never wait: sessions deliver
-  // results through the async terminal callbacks, and teardown abandons
-  // cancelled jobs immediately (the final scheduler shutdown bounds them).
-  options_.session.async_results = true;
-  options_.session.teardown_wait_ms = -1;
   listener_ = tcp_listen(options_.port, &port_);
   make_nonblocking(listener_.get());
   epoll_ = FdHandle(::epoll_create1(EPOLL_CLOEXEC));
@@ -120,367 +125,418 @@ EventLoopServer::EventLoopServer(ServiceHost& host, EventLoopOptions options)
   stop_ = make_eventfd();
   state_ = std::make_shared<LoopState>();
   state_->wake_fd = wake_.get();
+  for (const int fd : {listener_.get(), wake_.get(), stop_.get()}) {
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd;
+    FFP_CHECK(::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, fd, &ev) == 0,
+              "epoll_ctl(ADD) failed: errno ", errno);
+  }
 }
 
 EventLoopServer::~EventLoopServer() = default;
 
 void EventLoopServer::request_stop() noexcept { signal_eventfd(stop_.get()); }
 
-void EventLoopServer::run() {
-  std::map<int, std::shared_ptr<Conn>> conns;
-  const WallTimer clock;
-  ServeStats& stats = host_.serve_stats();
-  bool stopping = false;
+std::shared_ptr<EventLoopServer::Conn> EventLoopServer::add(
+    FdHandle fd, bool link, std::unique_ptr<LineHandler> handler) {
+  auto c = std::make_shared<Conn>();
+  c->raw_fd = fd.get();
+  c->fd = std::move(fd);
+  c->link = link;
+  c->max_line_bytes = link ? kMaxResponseLineBytes : kMaxRequestLineBytes;
+  c->last_activity_ms = clock_.elapsed_millis();
+  c->handler = std::move(handler);
+  epoll_event ev{};
+  ev.events = c->events;
+  ev.data.fd = c->raw_fd;
+  FFP_CHECK(::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, c->raw_fd, &ev) == 0,
+            "epoll_ctl(ADD) failed: errno ", errno);
+  conns_.emplace(c->raw_fd, c);
+  return c;
+}
 
-  auto epoll_add = [&](int fd, std::uint32_t events) {
-    epoll_event ev{};
-    ev.events = events;
-    ev.data.fd = fd;
-    FFP_CHECK(::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, fd, &ev) == 0,
-              "epoll_ctl(ADD) failed: errno ", errno);
-  };
-  epoll_add(listener_.get(), EPOLLIN);
-  epoll_add(wake_.get(), EPOLLIN);
-  epoll_add(stop_.get(), EPOLLIN);
+EventLoopServer::Link EventLoopServer::dial(
+    int port, double read_timeout_ms, std::unique_ptr<LineHandler> handler) {
+  FdHandle fd = tcp_connect(port);
+  make_nonblocking(fd.get());
+  Link link;
+  link.loop_ = this;
+  const auto c = add(std::move(fd), /*link=*/true, std::move(handler));
+  c->read_timeout_ms = read_timeout_ms;
+  link.conn_ = c;
+  return link;
+}
 
-  auto set_write_interest = [&](Conn& c, bool want) {
-    if (c.want_write == want || !c.fd.valid()) return;
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
-    ev.data.fd = c.raw_fd;
-    if (::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, c.raw_fd, &ev) == 0) {
-      c.want_write = want;
-    }
-  };
+void EventLoopServer::Link::send(std::string_view line) const {
+  if (const auto c = conn_.lock()) {
+    c->last_activity_ms = loop_->clock_.elapsed_millis();
+    loop_->state_->emit(conn_, line);
+  }
+}
 
-  /// Tears one connection down on the loop thread: emits go dead, the
-  /// session cancels its jobs (no-wait), the fd leaves the epoll set and
-  /// closes. The Conn shell may outlive this (an emit closure can hold
-  /// the last reference briefly); everything left in it is inert.
-  auto drop = [&](const std::shared_ptr<Conn>& c) {
-    {
-      std::lock_guard lock(c->out_mu);
-      if (c->dead) return;
-      c->dead = true;
-    }
-    (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, c->raw_fd, nullptr);
-    c->session.reset();
-    c->fd.reset();
-    conns.erase(c->raw_fd);
-    stats.connections_open.fetch_sub(1, std::memory_order_relaxed);
-  };
+void EventLoopServer::Link::close() const {
+  if (const auto c = conn_.lock()) loop_->drop(c, /*notify=*/false);
+}
 
-  /// Flushes what it can without blocking. Returns false when the
-  /// connection must be dropped (peer gone, or an injected tear).
-  auto flush = [&](const std::shared_ptr<Conn>& c) -> bool {
+/// The live connections, held: dropping one must not cut the iteration.
+std::vector<std::shared_ptr<EventLoopServer::Conn>> EventLoopServer::snapshot()
+    const {
+  std::vector<std::shared_ptr<Conn>> out;
+  out.reserve(conns_.size());
+  for (const auto& entry : conns_) out.push_back(entry.second);
+  return out;
+}
+
+/// Tears one connection down on the loop thread: emits go dead, the fd
+/// leaves the epoll set and closes, and the handler moves to the
+/// graveyard (it may be the caller further up this stack). With `notify`
+/// the handler learns why first.
+void EventLoopServer::drop(const std::shared_ptr<Conn>& c, bool notify,
+                           std::string_view why) {
+  {
     std::lock_guard lock(c->out_mu);
-    if (c->dead || !c->fd.valid()) return true;
-    while (c->outpos < c->outbuf.size()) {
-      if (fault::fire(fault::Point::ConnDrop)) return false;
-      std::size_t chunk = c->outbuf.size() - c->outpos;
-      const bool torn = fault::fire(fault::Point::TornWrite);
-      if (torn) chunk = std::max<std::size_t>(1, chunk / 2);
-      const ssize_t n =
-          ::send(c->fd.get(), c->outbuf.data() + c->outpos, chunk,
-                 MSG_NOSIGNAL | MSG_DONTWAIT);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          if (c->write_stall_since_ms < 0) {
-            c->write_stall_since_ms = clock.elapsed_millis();
-          }
-          return true;  // EPOLLOUT resumes us
+    if (c->dead) return;
+    c->dead = true;
+  }
+  (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, c->raw_fd, nullptr);
+  c->fd.reset();
+  conns_.erase(c->raw_fd);
+  if (!c->link) {
+    --clients_;
+    stats_.connections_open.fetch_sub(1, std::memory_order_relaxed);
+  }
+  LineHandler* handler = c->handler.get();
+  graveyard_.push_back(std::move(c->handler));
+  if (notify) handler->on_close(why);
+}
+
+/// Flushes what it can without blocking. Returns false when the
+/// connection must be dropped (peer gone, or an injected tear).
+bool EventLoopServer::flush(Conn& c) {
+  std::lock_guard lock(c.out_mu);
+  if (c.dead) return true;
+  while (c.outpos < c.outbuf.size()) {
+    if (fault::fire(fault::Point::ConnDrop)) return false;
+    std::size_t chunk = c.outbuf.size() - c.outpos;
+    const bool torn = fault::fire(fault::Point::TornWrite);
+    if (torn) chunk = std::max<std::size_t>(1, chunk / 2);
+    const ssize_t n = ::send(c.fd.get(), c.outbuf.data() + c.outpos, chunk,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        if (c.write_stall_since_ms < 0) {
+          c.write_stall_since_ms = clock_.elapsed_millis();
         }
-        return false;  // peer vanished
+        return true;  // EPOLLOUT resumes us
       }
-      c->outpos += static_cast<std::size_t>(n);
-      if (torn) return false;  // the tear drops the connection
+      return false;  // peer vanished
     }
-    c->outbuf.clear();
-    c->outpos = 0;
-    c->write_stall_since_ms = -1;
-    return true;
-  };
+    c.outpos += static_cast<std::size_t>(n);
+    if (torn) return false;  // the tear drops the connection
+  }
+  c.outbuf.clear();
+  c.outpos = 0;
+  c.write_stall_since_ms = -1;
+  return true;
+}
 
-  /// After a flush: adjust EPOLLOUT interest (outside out_mu is fine —
-  /// only the loop thread touches interest).
-  auto settle_write_interest = [&](const std::shared_ptr<Conn>& c) {
-    bool pending = false;
-    {
-      std::lock_guard lock(c->out_mu);
-      pending = c->outpos < c->outbuf.size();
-    }
-    set_write_interest(*c, pending);
-  };
+/// Re-arms epoll interest: read unless the handler is owed a reply, write
+/// while outbound bytes wait.
+void EventLoopServer::update_interest(Conn& c) {
+  bool pending = false;
+  {
+    std::lock_guard lock(c.out_mu);
+    pending = c.outpos < c.outbuf.size();
+  }
+  const std::uint32_t events = (holding(c) ? 0u : EPOLLIN) |
+                               (pending ? EPOLLOUT : 0u);
+  if (events == c.events) return;
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.fd = c.raw_fd;
+  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, c.raw_fd, &ev) == 0) {
+    c.events = events;
+  }
+}
 
-  /// Clean-EOF reap: a read-closed connection with no unfinished jobs, no
-  /// unclaimed results and an empty outbound buffer has nothing left to
-  /// say — the loop edition of TcpServer's drain-then-close.
-  auto reap_if_finished = [&](const std::shared_ptr<Conn>& c) {
-    if (!c->read_closed || c->session == nullptr) return;
-    if (c->session->pending_work() > 0) return;
-    bool pending = false;
-    {
-      std::lock_guard lock(c->out_mu);
-      pending = c->outpos < c->outbuf.size();
-    }
-    if (!pending) drop(c);
-  };
+/// An accepted connection owed a reply takes no further lines. (A link's
+/// handler is owed a reply by the peer: that is when it must read.)
+bool EventLoopServer::holding(Conn& c) {
+  return !c.link && c.handler->owes_reply();
+}
 
-  /// Consumes every complete line in the inbuf (plus, at EOF, a final
-  /// unterminated one — LineReader's rule). Returns false when the
-  /// connection must be dropped.
-  auto process_lines = [&](const std::shared_ptr<Conn>& c) -> bool {
-    for (;;) {
-      const auto nl = c->inbuf.find('\n', c->inpos);
-      if (nl == std::string::npos) {
-        if (c->inbuf.size() - c->inpos > kMaxLineBytes) {
+/// The idle clock of an accepted connection stands still while its peer
+/// is owed a reply, and restarts when the reply has gone out.
+void EventLoopServer::note_owed(Conn& c) {
+  if (c.link) return;
+  const bool owed = c.handler->owes_reply();
+  if (owed || c.owed) c.last_activity_ms = clock_.elapsed_millis();
+  c.owed = owed;
+}
+
+/// Clean-EOF reap: a read-closed client with every line handled, no
+/// handler work left and an empty outbound buffer has nothing left to say.
+/// (A link closes as soon as its peer does, in on_readable.)
+void EventLoopServer::reap_if_finished(const std::shared_ptr<Conn>& c) {
+  if (c->dead || c->link || !c->read_closed || c->inpos < c->inbuf.size()) {
+    return;
+  }
+  if (c->handler->pending_work() > 0) return;
+  {
+    std::lock_guard lock(c->out_mu);
+    if (c->outpos < c->outbuf.size()) return;
+  }
+  drop(c, /*notify=*/false);
+}
+
+/// Feeds the handler every complete line in the inbuf (plus, at a
+/// client's EOF, a final unterminated one) until it is owed a reply.
+/// Returns false when the connection must be dropped.
+bool EventLoopServer::process_lines(const std::shared_ptr<Conn>& c) {
+  while (!c->dead && !holding(*c)) {
+    std::size_t end = c->inbuf.find('\n', std::max(c->inpos, c->scanned));
+    if (end == std::string::npos) {
+      c->scanned = c->inbuf.size();
+      if (c->inbuf.size() - c->inpos > c->max_line_bytes) {
+        if (!c->link) {
           std::lock_guard lock(c->out_mu);
           c->outbuf += format_error("", "request line exceeds the size limit",
                                     ErrCode::BadRequest);
           c->outbuf += '\n';
-          return false;
         }
-        if (c->read_closed && c->inpos < c->inbuf.size()) {
-          // Final unterminated line.
-          const std::string line = c->inbuf.substr(c->inpos);
-          c->inbuf.clear();
-          c->inpos = 0;
-          fault::maybe_delay();
-          if (!c->session->handle_line(line)) {
-            stopping = true;
-            return false;
-          }
-        }
-        break;
-      }
-      const std::string line = c->inbuf.substr(c->inpos, nl - c->inpos);
-      c->inpos = nl + 1;
-      fault::maybe_delay();
-      if (!c->session->handle_line(line)) {
-        // An allowed shutdown op: the bye is in the outbuf; flush it
-        // best-effort, then stop the whole server (one stop path).
-        stopping = true;
         return false;
       }
+      if (!c->read_closed || c->link || c->inpos == c->inbuf.size()) break;
+      end = c->inbuf.size();  // a client's final unterminated line
     }
-    if (c->inpos > 0 && c->inpos == c->inbuf.size()) {
-      c->inbuf.clear();
-      c->inpos = 0;
-    } else if (c->inpos > kReadChunk) {
-      c->inbuf.erase(0, c->inpos);
-      c->inpos = 0;
+    // The view stays valid through the call: only this function and
+    // on_readable touch the inbuf, never a handler.
+    const std::string_view line(c->inbuf.data() + c->inpos, end - c->inpos);
+    c->inpos = std::min(end + 1, c->inbuf.size());
+    fault::maybe_delay();
+    if (!c->handler->handle_line(line)) {
+      // An allowed shutdown op: the bye is queued; the caller flushes it
+      // best-effort, then the whole server stops (one stop path).
+      stopping_ = true;
+      return false;
     }
-    return true;
-  };
+  }
+  if (c->inpos == c->inbuf.size()) {
+    c->inbuf.clear();
+    c->inpos = 0;
+    c->scanned = 0;
+  } else if (c->inpos > kReadChunk) {
+    c->inbuf.erase(0, c->inpos);
+    c->scanned -= std::min(c->scanned, c->inpos);
+    c->inpos = 0;
+  }
+  return true;
+}
 
-  auto on_readable = [&](const std::shared_ptr<Conn>& c) {
-    for (int i = 0; i < kMaxReadsPerEvent; ++i) {
-      if (fault::fire(fault::Point::ConnDrop)) {
-        drop(c);
-        return;
-      }
-      char buf[kReadChunk];
-      const std::size_t want =
-          fault::fire(fault::Point::ShortRead) ? 1 : sizeof(buf);
-      const ssize_t n = ::recv(c->fd.get(), buf, want, 0);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        drop(c);  // reset / torn peer
-        return;
-      }
-      if (n == 0) {
-        c->read_closed = true;
-        break;
-      }
-      c->inbuf.append(buf, static_cast<std::size_t>(n));
-      c->last_activity_ms = clock.elapsed_millis();
-    }
-    if (!process_lines(c) || !flush(c)) {
-      (void)flush(c);  // best-effort goodbye (shutdown bye, error line)
-      drop(c);
+/// After the loop touched a connection: hand the handler what it will
+/// take (lines held while it was owed a reply included), flush, restart
+/// the clocks, re-arm interest, and close a client that is done.
+void EventLoopServer::settle(const std::shared_ptr<Conn>& c) {
+  if (c->dead) return;
+  if (!process_lines(c)) {
+    (void)flush(*c);  // best-effort goodbye (shutdown bye, error line)
+    drop(c, /*notify=*/true, "line exceeds the size limit");
+    return;
+  }
+  if (c->dead) return;  // its handler closed it
+  if (!flush(*c)) {
+    drop(c, /*notify=*/true, "connection lost");
+    return;
+  }
+  note_owed(*c);
+  update_interest(*c);
+  reap_if_finished(c);
+}
+
+void EventLoopServer::on_readable(const std::shared_ptr<Conn>& c) {
+  for (int i = 0; i < kMaxReadsPerEvent; ++i) {
+    if (fault::fire(fault::Point::ConnDrop)) {
+      drop(c, /*notify=*/true, "injected fault: connection dropped");
       return;
     }
-    settle_write_interest(c);
-    reap_if_finished(c);
-  };
-
-  auto accept_new = [&] {
-    for (;;) {
-      const int raw = ::accept4(listener_.get(), nullptr, nullptr,
-                                SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (raw < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        std::fprintf(stderr, "ffp_serve: accept error: errno %d\n", errno);
-        return;
-      }
-      FdHandle fd(raw);
-      if (fault::fire(fault::Point::AcceptFail)) continue;  // injected drop
-      if (conns.size() >= options_.max_clients) {
-        // Overload shedding, TcpServer policy: immediate structured
-        // rejection, never a queue slot. Best-effort single send.
-        stats.sheds.fetch_add(1, std::memory_order_relaxed);
-        const std::string line =
-            format_error("",
-                         "server at capacity (" +
-                             std::to_string(options_.max_clients) +
-                             " clients); retry after backoff",
-                         ErrCode::Overloaded,
-                         options_.overload_retry_after_ms) +
-            "\n";
-        (void)::send(raw, line.data(), line.size(),
-                     MSG_NOSIGNAL | MSG_DONTWAIT);
-        continue;
-      }
-
-      auto conn = std::make_shared<Conn>();
-      conn->raw_fd = raw;
-      conn->fd = std::move(fd);
-      conn->last_activity_ms = clock.elapsed_millis();
-      // The emit closure runs on engine runner threads (async results,
-      // progress streams) and on the loop thread itself (acks): append
-      // under the lock, then wake the loop. The weak_ptr keeps a torn
-      // connection from pinning its buffers forever.
-      conn->session = std::make_unique<ServiceSession>(
-          host_,
-          [state = state_, wconn = std::weak_ptr<Conn>(conn)](
-              const std::string& line) {
-            const auto c = wconn.lock();
-            if (c == nullptr) return;
-            {
-              std::lock_guard lock(c->out_mu);
-              if (c->dead) return;
-              c->outbuf += line;
-              c->outbuf += '\n';
-            }
-            state->mark_dirty(wconn);
-          },
-          options_.session);
-      conns.emplace(raw, conn);
-      stats.connections_total.fetch_add(1, std::memory_order_relaxed);
-      stats.connections_open.fetch_add(1, std::memory_order_relaxed);
-      epoll_add(raw, EPOLLIN);
-    }
-  };
-
-  std::vector<epoll_event> events(256);
-  while (!stopping) {
-    const int rc = ::epoll_wait(epoll_.get(), events.data(),
-                                static_cast<int>(events.size()),
-                                conns.empty() ? -1 : 100);
-    if (rc < 0) {
+    char buf[kReadChunk];
+    const std::size_t want =
+        fault::fire(fault::Point::ShortRead) ? 1 : sizeof(buf);
+    const ssize_t n = ::recv(c->fd.get(), buf, want, 0);
+    if (n < 0) {
       if (errno == EINTR) continue;
-      std::fprintf(stderr, "ffp_serve: epoll error: errno %d\n", errno);
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      drop(c, /*notify=*/true, "connection reset");
+      return;
+    }
+    if (n == 0) {
+      c->read_closed = true;
       break;
     }
-    stats.loop_wakeups.fetch_add(1, std::memory_order_relaxed);
+    c->inbuf.append(buf, static_cast<std::size_t>(n));
+    c->last_activity_ms = clock_.elapsed_millis();
+  }
+  settle(c);
+  // A link's peer has nothing more to say once it closes: whatever it
+  // still owed is lost.
+  if (c->link && c->read_closed) {
+    drop(c, /*notify=*/true, "closed by the peer");
+  }
+}
 
-    for (int i = 0; i < rc && !stopping; ++i) {
+void EventLoopServer::accept_new() {
+  for (;;) {
+    const int raw = ::accept4(listener_.get(), nullptr, nullptr,
+                              SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (raw < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+      std::fprintf(stderr, "ffp: accept error: errno %d\n", errno);
+      return;
+    }
+    FdHandle fd(raw);
+    if (fault::fire(fault::Point::AcceptFail)) continue;  // injected drop
+    if (clients_ >= options_.max_clients) {
+      // Overload shedding: immediate structured rejection, never a queue
+      // slot. Best-effort single send.
+      stats_.sheds.fetch_add(1, std::memory_order_relaxed);
+      const std::string line =
+          format_error("",
+                       "server at capacity (" +
+                           std::to_string(options_.max_clients) +
+                           " clients); retry after backoff",
+                       ErrCode::Overloaded, options_.overload_retry_after_ms) +
+          "\n";
+      (void)::send(raw, line.data(), line.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+      continue;
+    }
+    // The handler is built around the registered connection's emit
+    // (nothing reads the connection before this returns). The weak_ptr
+    // keeps a torn connection from pinning its buffers forever.
+    const auto c = add(std::move(fd), /*link=*/false, nullptr);
+    c->handler = factory_([state = state_, wconn = std::weak_ptr<Conn>(c)](
+                              std::string_view line) {
+      state->emit(wconn, line);
+    });
+    ++clients_;
+    stats_.connections_total.fetch_add(1, std::memory_order_relaxed);
+    stats_.connections_open.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+/// Deadline sweep: write stalls, link read deadlines, idle clients, and
+/// read-closed clients whose work finished without an emit.
+void EventLoopServer::tick() {
+  const double now = clock_.elapsed_millis();
+  for (const auto& c : snapshot()) {
+    if (c->dead) continue;
+    bool stalled = false;
+    if (options_.write_timeout_ms > 0) {
+      std::lock_guard lock(c->out_mu);
+      stalled = c->write_stall_since_ms >= 0 &&
+                now - c->write_stall_since_ms > options_.write_timeout_ms;
+    }
+    if (stalled) {
+      drop(c, /*notify=*/true, "write deadline passed");
+      continue;
+    }
+    note_owed(*c);
+    const double quiet = now - c->last_activity_ms;
+    if (c->link) {
+      if (c->read_timeout_ms > 0 && quiet > c->read_timeout_ms &&
+          c->handler->owes_reply()) {
+        drop(c, /*notify=*/true,
+             "no reply within " + std::to_string(c->read_timeout_ms) + " ms");
+      }
+      continue;
+    }
+    if (options_.idle_timeout_ms > 0 && !c->owed && !c->read_closed &&
+        quiet > options_.idle_timeout_ms) {
+      // The idle reaper's structured goodbye, best-effort.
+      {
+        std::lock_guard lock(c->out_mu);
+        c->outbuf += format_error(
+            "", "idle timeout: no request within the deadline",
+            ErrCode::Timeout);
+        c->outbuf += '\n';
+      }
+      (void)flush(*c);
+      drop(c, /*notify=*/true, "idle");
+      continue;
+    }
+    reap_if_finished(c);
+  }
+}
+
+void EventLoopServer::run() {
+  std::vector<epoll_event> events(256);
+  while (!stopping_) {
+    const int rc = ::epoll_wait(epoll_.get(), events.data(),
+                                static_cast<int>(events.size()),
+                                conns_.empty() ? -1 : 100);
+    if (rc < 0) {
+      if (errno == EINTR) continue;
+      std::fprintf(stderr, "ffp: epoll error: errno %d\n", errno);
+      break;
+    }
+    stats_.loop_wakeups.fetch_add(1, std::memory_order_relaxed);
+
+    for (int i = 0; i < rc && !stopping_; ++i) {
       const int fd = events[static_cast<std::size_t>(i)].data.fd;
       const std::uint32_t ev = events[static_cast<std::size_t>(i)].events;
       if (fd == stop_.get()) {
-        stopping = true;
+        stopping_ = true;
         break;
       }
       if (fd == wake_.get()) {
-        drain_eventfd(fd);
-        for (const auto& wconn : state_->take_dirty()) {
-          const auto c = wconn.lock();
-          if (c == nullptr || c->dead) continue;
-          if (!flush(c)) {
-            drop(c);
-            continue;
-          }
-          settle_write_interest(c);
-          reap_if_finished(c);
-        }
+        drain_eventfd(fd);  // the dirty pass below runs every iteration
         continue;
       }
       if (fd == listener_.get()) {
         accept_new();
         continue;
       }
-      const auto it = conns.find(fd);
-      if (it == conns.end()) continue;
+      const auto it = conns_.find(fd);
+      if (it == conns_.end()) continue;
       const std::shared_ptr<Conn> c = it->second;
       if ((ev & (EPOLLERR | EPOLLHUP)) != 0 && (ev & EPOLLIN) == 0) {
-        drop(c);
-        continue;
+        drop(c, /*notify=*/true, "connection lost");
+      } else if ((ev & EPOLLIN) != 0) {
+        on_readable(c);
+      } else {
+        settle(c);  // EPOLLOUT: the slow-reader tail
       }
-      if ((ev & EPOLLOUT) != 0) {
-        if (!flush(c)) {
-          drop(c);
-          continue;
-        }
-        settle_write_interest(c);
-        reap_if_finished(c);
-        if (c->dead) continue;
-      }
-      if ((ev & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) on_readable(c);
     }
-    if (stopping) break;
-
-    // Deadline tick: idle reap and write-stall drops. A 100 ms sweep over
-    // every connection is noise next to epoll at these scales.
-    const double now = clock.elapsed_millis();
-    std::vector<std::shared_ptr<Conn>> snapshot;
-    snapshot.reserve(conns.size());
-    for (const auto& [fd, c] : conns) {
-      (void)fd;
-      snapshot.push_back(c);
+    // Connections that gained outbound bytes — from runner threads, or
+    // from a handler on this thread (a relay answering its client).
+    for (const auto& wconn : state_->take_dirty()) {
+      if (const auto c = wconn.lock(); c != nullptr && !stopping_) settle(c);
     }
-    std::vector<std::shared_ptr<Conn>> doomed;
-    std::vector<std::shared_ptr<Conn>> idle;
-    for (const auto& c : snapshot) {
-      if (options_.write_timeout_ms > 0) {
-        std::lock_guard lock(c->out_mu);
-        if (c->write_stall_since_ms >= 0 &&
-            now - c->write_stall_since_ms > options_.write_timeout_ms) {
-          doomed.push_back(c);
-          continue;
-        }
-      }
-      if (options_.idle_timeout_ms > 0 && !c->read_closed &&
-          now - c->last_activity_ms > options_.idle_timeout_ms) {
-        idle.push_back(c);
-        continue;
-      }
-      reap_if_finished(c);
-    }
-    for (const auto& c : doomed) drop(c);
-    for (const auto& c : idle) {
-      // The idle reaper's structured goodbye, best-effort.
-      {
-        std::lock_guard lock(c->out_mu);
-        if (!c->dead) {
-          c->outbuf += format_error(
-              "", "idle timeout: no request within the deadline",
-              ErrCode::Timeout);
-          c->outbuf += '\n';
-        }
-      }
-      (void)flush(c);
-      drop(c);
-    }
+    if (!stopping_) tick();
+    // A destroyed handler may close more connections (a relay its links).
+    while (!graveyard_.empty()) std::exchange(graveyard_, {}).clear();
   }
 
-  // Drain, TcpServer's shape: no new connections, flush what we can,
-  // tear every session down (cancelling its jobs; no waiting on the
-  // loop thread), then let the scheduler finish the running remainder.
+  // Drain: no new connections, flush what we can, tear every handler
+  // down without waiting on anything.
   shutdown_both(listener_);
-  std::vector<std::shared_ptr<Conn>> live;
-  live.reserve(conns.size());
-  for (const auto& [fd, c] : conns) {
-    (void)fd;
-    live.push_back(c);
+  for (const auto& c : snapshot()) {
+    (void)flush(*c);
+    drop(c, /*notify=*/false);
   }
-  for (const auto& c : live) {
-    (void)flush(c);
-    drop(c);
-  }
-  host_.engine().scheduler().shutdown();
+  while (!graveyard_.empty()) std::exchange(graveyard_, {}).clear();
+}
+
+EventLoopServer::HandlerFactory serve_sessions(ServiceHost& host,
+                                               SessionPolicy policy) {
+  policy.async_results = true;
+  policy.teardown_wait_ms = -1;
+  return [&host, policy](EventLoopServer::Emit emit)
+             -> std::unique_ptr<LineHandler> {
+    return std::make_unique<ServiceSession>(host, std::move(emit), policy);
+  };
 }
 
 }  // namespace ffp

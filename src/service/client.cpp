@@ -28,15 +28,6 @@ double RetryPolicy::backoff_ms(int attempt) const {
 
 namespace {
 
-/// Result lines carry one array element per vertex, so the client parses
-/// far bigger documents than the server accepts as requests.
-JsonLimits client_json_limits() {
-  JsonLimits limits;
-  limits.max_bytes = 1u << 30;
-  limits.max_elements = 1u << 30;
-  return limits;
-}
-
 /// One parsed response line — just the routing fields; the raw line is
 /// what callers keep.
 struct Event {
@@ -53,7 +44,7 @@ struct Event {
 Event parse_event(const std::string& line) {
   JsonValue root;
   try {
-    root = JsonValue::parse(line, client_json_limits());
+    root = JsonValue::parse(line, response_json_limits());
   } catch (const Error& e) {
     throw ServiceError(ErrCode::ConnLost,
                        std::string("unparseable response line: ") + e.what());
@@ -124,7 +115,7 @@ std::vector<ClientResult> ServiceClient::run(
                             std::string* raw) -> Event {
     std::string line;
     for (;;) {
-      if (!reader.next(line, options_.max_line_bytes)) {
+      if (!reader.next(line)) {
         throw ServiceError(ErrCode::ConnLost,
                            "server closed the connection awaiting '" + id +
                                "'");

@@ -1,7 +1,7 @@
 // ServiceClient — the resilient client side of the service protocol, as a
 // library (ffp_client's graph mode is a thin wrapper; the chaos tests
-// drive it in-process against a TcpServer). It owns the retry loop the
-// protocol's error taxonomy exists for:
+// drive it in-process against the event-loop server and the router). It
+// owns the retry loop the protocol's error taxonomy exists for:
 //
 //   * Fatal error events (bad_request, job_failed, ...) fail the one job
 //     they name, permanently.
@@ -65,10 +65,9 @@ struct ServiceClientOptions {
   int port = 0;  ///< ffp_serve port on 127.0.0.1
   RetryPolicy retry;
   /// Per-read deadline while awaiting a response line; <= 0 blocks
-  /// forever. Expiry counts as a connection failure (retry).
+  /// forever. Expiry counts as a connection failure (retry). Lines are
+  /// bounded by the response ceiling (service/net.hpp).
   double io_timeout_ms = 0;
-  /// Ceiling on one response line (result events carry the partition).
-  std::size_t max_line_bytes = 1u << 30;
   /// Observation hooks (both optional): every received line, and every
   /// backoff the retry loop takes (ffp_client logs; tests assert).
   std::function<void(const std::string& line)> on_line;

@@ -20,15 +20,23 @@
 #include <utility>
 #include <vector>
 
+#include "service/net.hpp"
 #include "util/check.hpp"
 
 namespace ffp {
 
+/// Defaults are the request limits: one request line's worth of bytes.
 struct JsonLimits {
-  std::size_t max_bytes = 1u << 26;   ///< 64 MiB document ceiling
+  std::size_t max_bytes = kMaxRequestLineBytes;  ///< document ceiling
   int max_depth = 32;                 ///< nesting ceiling
   std::size_t max_elements = 1u << 24;  ///< total values in the document
 };
+
+/// Limits for a whole response line: the response ceiling, with one
+/// element per byte at most (a result carries one per vertex).
+inline JsonLimits response_json_limits() {
+  return {kMaxResponseLineBytes, 32, kMaxResponseLineBytes};
+}
 
 class JsonValue {
  public:

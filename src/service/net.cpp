@@ -1,6 +1,7 @@
 #include "service/net.hpp"
 
 #include <arpa/inet.h>
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <netinet/in.h>
@@ -9,6 +10,7 @@
 #include <unistd.h>
 
 #include "util/fault.hpp"
+#include "util/strings.hpp"
 #include "util/timer.hpp"
 
 namespace ffp {
@@ -112,25 +114,6 @@ FdHandle tcp_listen(int port, int* bound_port) {
   return fd;
 }
 
-FdHandle tcp_accept(const FdHandle& listener) {
-  for (;;) {
-    const int fd = ::accept(listener.get(), nullptr, nullptr);
-    if (fd >= 0) {
-      FdHandle conn(fd);
-      if (fault::fire(fault::Point::AcceptFail)) {
-        // Simulates accept-side resource exhaustion (EMFILE and friends):
-        // the connection dies on arrival; the peer sees a reset. Accept
-        // loops must log and keep serving.
-        throw ServiceError(ErrCode::ConnLost,
-                           "injected fault: accepted connection destroyed");
-      }
-      return conn;
-    }
-    if (errno == EINTR) continue;
-    fail_errno("accept");
-  }
-}
-
 FdHandle tcp_connect(int port) {
   FFP_CHECK(port > 0 && port <= 65535, "port out of range: ", port);
   FdHandle fd(::socket(AF_INET, SOCK_STREAM, 0));
@@ -144,6 +127,24 @@ FdHandle tcp_connect(int port) {
     fail_errno("connect 127.0.0.1:" + std::to_string(port));
   }
   return fd;
+}
+
+std::vector<int> parse_ports(std::string_view csv, std::string_view flag) {
+  std::vector<int> ports;
+  for (std::size_t start = 0; start <= csv.size();) {
+    std::size_t comma = csv.find(',', start);
+    if (comma == std::string_view::npos) comma = csv.size();
+    const std::string_view piece = trim(csv.substr(start, comma - start));
+    if (!piece.empty()) {
+      const auto port = parse_int(piece);
+      FFP_CHECK(port.has_value() && *port >= 1 && *port <= 65535, "", flag,
+                " entries must be ports (1..65535), got '", std::string(piece),
+                "'");
+      ports.push_back(static_cast<int>(*port));
+    }
+    start = comma + 1;
+  }
+  return ports;
 }
 
 void write_line(const FdHandle& fd, const std::string& line,
@@ -196,18 +197,23 @@ void shutdown_both(const FdHandle& fd) {
 bool LineReader::next(std::string& line, std::size_t max_line_bytes) {
   const WallTimer deadline;  // per-call: one line within timeout_ms_
   for (;;) {
-    const std::size_t eol = buffer_.find('\n', pos_);
+    // Resume the newline search where the last one stopped: rescanning a
+    // long line from its start after every chunk is quadratic.
+    const std::size_t eol = buffer_.find('\n', std::max(pos_, scanned_));
     if (eol != std::string::npos) {
       line.assign(buffer_, pos_, eol - pos_);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       pos_ = eol + 1;
+      scanned_ = pos_;
       // Compact once the consumed prefix dominates the buffer.
       if (pos_ > (1u << 16) && pos_ * 2 > buffer_.size()) {
         buffer_.erase(0, pos_);
         pos_ = 0;
+        scanned_ = 0;
       }
       return true;
     }
+    scanned_ = buffer_.size();
     if (buffer_.size() - pos_ > max_line_bytes) {
       throw Error("line exceeds " + std::to_string(max_line_bytes) +
                   " bytes without a newline");
@@ -232,6 +238,7 @@ bool LineReader::next(std::string& line, std::size_t max_line_bytes) {
         line.assign(buffer_, pos_, buffer_.size() - pos_);
         buffer_.clear();
         pos_ = 0;
+        scanned_ = 0;
         return true;
       }
       return false;

@@ -482,4 +482,34 @@ std::string format_migrate_elite(const evolve::PopulationKey& key,
   return out;
 }
 
+EventHead read_event_head(std::string_view line) {
+  // Decodes the JSON string that opens at `at`, escapes included; returns
+  // it with the position just past its closing quote.
+  const auto string_at = [line](std::size_t at) {
+    if (at >= line.size() || line[at] != '"') {
+      throw Error("response line has no event head");
+    }
+    std::size_t end = at + 1;
+    while (end < line.size() && line[end] != '"') {
+      end += line[end] == '\\' ? 2 : 1;
+    }
+    if (end >= line.size()) throw Error("response line has no event head");
+    ++end;
+    return std::pair(JsonValue::parse(line.substr(at, end - at)).as_string(),
+                     end);
+  };
+  constexpr std::string_view kEvent = "{\"event\":";
+  constexpr std::string_view kId = ",\"id\":";
+  if (!starts_with(line, kEvent)) {
+    throw Error("response line has no event head");
+  }
+  EventHead head;
+  auto [event, end] = string_at(kEvent.size());
+  head.event = std::move(event);
+  if (starts_with(line.substr(end), kId)) {
+    head.id = string_at(end + kId.size()).first;
+  }
+  return head;
+}
+
 }  // namespace ffp

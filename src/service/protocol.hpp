@@ -105,14 +105,14 @@ struct Request {
 /// malformed — syntax, unknown op, unknown key, bad type or range.
 Request parse_request(std::string_view line, const ProtocolLimits& limits = {});
 
-/// Serving-layer counters surfaced in status replies so the new scale-out
-/// path is observable: connection gauges (both server modes), event-loop
-/// wakeups, overload sheds, and elite migrations in either direction.
-/// Collected by ServiceHost::serve_stats(); formatted when non-null.
+/// Serving-layer counters surfaced in status replies so the scale-out
+/// path is observable: connection gauges, event-loop wakeups, overload
+/// sheds, and elite migrations in either direction. Collected by
+/// ServiceHost::serve_stats(); formatted when non-null.
 struct ServeCounters {
   std::int64_t connections_open = 0;
   std::int64_t connections_total = 0;
-  std::int64_t loop_wakeups = 0;  ///< epoll_wait returns (0 in thread mode)
+  std::int64_t loop_wakeups = 0;  ///< epoll_wait returns
   std::int64_t sheds = 0;         ///< connections refused at max_clients
   std::int64_t migrations_sent = 0;
   std::int64_t migrations_received = 0;
@@ -158,5 +158,17 @@ std::string format_migrate(bool admitted);
 /// the tests so the wire spelling has exactly one producer.
 std::string format_migrate_elite(const evolve::PopulationKey& key,
                                  double value, std::span<const int> parts);
+
+/// What a relay needs of a response line: its event name and job id.
+struct EventHead {
+  std::string event;
+  std::string id;  ///< empty when the event names no job (bye, migrate)
+};
+
+/// Reads the head from the prefix every format_* above writes,
+/// {"event":"…"[,"id":"…"], without parsing the rest — a result line
+/// carries one entry per vertex. Throws ffp::Error when the line does not
+/// start that way.
+EventHead read_event_head(std::string_view line);
 
 }  // namespace ffp

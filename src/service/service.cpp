@@ -172,10 +172,16 @@ bool ServiceSession::handle_line(std::string_view line) {
                   client = request.id](const JobStatus& status) {
             {
               std::lock_guard lock(waits->mu);
-              if (waits->wanted.erase(client) == 0) return;
+              if (waits->wanted.count(client) == 0) return;
             }
+            const std::string line = format_terminal(client, status);
+            // Claim and emit under one lock: the reply is queued before
+            // owes_reply() turns false, so the transport never takes the
+            // client's next line ahead of it.
+            std::lock_guard lock(waits->mu);
+            if (waits->wanted.erase(client) == 0) return;
             try {
-              emit_to(state, format_terminal(client, status));
+              emit_to(state, line);
             } catch (const std::exception&) {
               // Peer gone; the claim is consumed either way.
             }
@@ -303,6 +309,12 @@ void ServiceSession::drain() {
     for (auto& [id, handle] : handles_) handles.push_back(handle);
   }
   for (const auto& handle : handles) handle.wait();
+}
+
+bool ServiceSession::owes_reply() {
+  if (waits_ == nullptr) return false;
+  std::lock_guard lock(waits_->mu);
+  return !waits_->wanted.empty();
 }
 
 std::size_t ServiceSession::pending_work() {

@@ -1,7 +1,7 @@
 // The protocol layer over the api facade: ServiceHost is the shared server
 // state — ONE api::Engine (scheduler + thread budget + result cache) plus a
 // weak per-path graph cache — and ServiceSession is one client's protocol
-// view of it. ffp_serve wraps a session around each TCP connection (or
+// view of it. ffp_serve runs a session on each event-loop connection (or
 // around stdin/stdout in pipe mode); the tests drive sessions directly with
 // no transport at all. Every session submits through the same engine, so N
 // concurrent connections share runners, budget, and cache — the
@@ -23,9 +23,10 @@
 // cheap.
 //
 // Lifetime: a session destroyed with jobs still pending cancels them and
-// waits — but only up to SessionPolicy::teardown_wait_ms. A job that
-// ignores its cancel flag past that deadline is abandoned (logged to
-// stderr) rather than holding the transport thread hostage; the emit state
+// waits — but only up to SessionPolicy::teardown_wait_ms (the event loop
+// does not wait at all). A job that ignores its cancel flag past that
+// deadline is abandoned (logged to stderr) rather than holding the
+// transport thread hostage; the emit state
 // is a shared guard the streaming closures hold, so an abandoned job's
 // progress events drop silently instead of calling into a dead session. A
 // clean EOF calls drain() first, which lets jobs finish — so piped batch
@@ -43,15 +44,15 @@
 #include <string_view>
 
 #include "api/api.hpp"
+#include "service/net.hpp"
 #include "service/protocol.hpp"
 
 namespace ffp {
 
 /// Process-wide serving counters (protocol.hpp ServeCounters is the wire
-/// rendering): maintained by whichever transports are running — the
-/// thread-per-connection TcpServer, the epoll EventLoopServer, and the
-/// EliteMigrator all update the one instance their ServiceHost owns, so a
-/// status probe on any connection sees the whole server.
+/// rendering): the event loop and the EliteMigrator both update the one
+/// instance their ServiceHost owns, so a status probe on any connection
+/// sees the whole server.
 class ServeStats {
  public:
   std::atomic<std::int64_t> connections_open{0};
@@ -149,21 +150,21 @@ struct SessionPolicy {
   /// Teardown deadline: how long the destructor waits (total, across all
   /// of the session's jobs) after cancelling them before abandoning the
   /// stragglers. 0 waits forever (trusted in-process sessions); < 0 does
-  /// not wait at all — cancel and abandon immediately, for transports
-  /// that must never block (the event loop tears sessions down on its one
-  /// thread; the server's drain bounds the stragglers instead).
+  /// not wait at all — cancel and abandon immediately, for the event loop,
+  /// which tears sessions down on its one thread (the server's drain
+  /// bounds the stragglers instead).
   double teardown_wait_ms = 5000;
   /// Async result delivery: `result` replies are emitted by the engine's
   /// terminal callback instead of a blocking wait() in handle_line — the
-  /// event-loop transport multiplexes thousands of connections on one
-  /// thread and can afford neither the block nor a thread per waiter.
-  /// The wait() path and the callback render byte-identical lines
-  /// (format_terminal); which side emits is settled by a claim set, so
-  /// every result op gets exactly one reply either way.
+  /// event loop multiplexes thousands of connections on one thread and
+  /// can afford neither the block nor a thread per waiter. The wait()
+  /// path (pipe mode, in-process callers) and the callback render
+  /// byte-identical lines (format_terminal); which side emits is settled
+  /// by a claim set, so every result op gets exactly one reply either way.
   bool async_results = false;
 };
 
-class ServiceSession {
+class ServiceSession final : public LineHandler {
  public:
   using Emit = std::function<void(const std::string& line)>;
 
@@ -172,7 +173,7 @@ class ServiceSession {
   /// policy.teardown_wait_ms for them — call drain() first for
   /// let-them-finish semantics. Jobs still running at the deadline are
   /// abandoned (their streaming events drop; the scheduler finishes them).
-  ~ServiceSession();
+  ~ServiceSession() override;
 
   ServiceSession(const ServiceSession&) = delete;
   ServiceSession& operator=(const ServiceSession&) = delete;
@@ -181,15 +182,18 @@ class ServiceSession {
   /// false when the line was a shutdown request — the transport loop
   /// should stop reading. Never throws on bad input; `error` events carry
   /// the diagnosis instead.
-  bool handle_line(std::string_view line);
+  bool handle_line(std::string_view line) override;
 
   /// Blocks until every job this session submitted is terminal.
   void drain();
 
+  /// True while a `result` op awaits async delivery.
+  bool owes_reply() override;
+
   /// Unfinished (non-terminal) jobs plus unclaimed result interests — the
   /// event loop uses this to decide when a read-closed connection has
   /// nothing left to say and can be reaped.
-  std::size_t pending_work();
+  std::size_t pending_work() override;
 
   ServiceHost& host() { return host_; }
 

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "service/json.hpp"
 #include "service/net.hpp"
 #include "service/protocol.hpp"
 
@@ -82,10 +81,7 @@ bool EliteMigrator::send_elite(int port, const evolve::PopulationKey& key,
     std::string line;
     if (!reader.next(line)) return false;
     // Admitted or rejected, the peer answered — both settle this value.
-    const JsonValue root = JsonValue::parse(line);
-    const JsonValue* event = root.find("event");
-    return event != nullptr && event->is_string() &&
-           event->as_string() == "migrate";
+    return read_event_head(line).event == "migrate";
   } catch (const std::exception&) {
     return false;  // peer down / slow: gossip tries again next improvement
   }

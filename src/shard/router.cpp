@@ -1,30 +1,19 @@
 #include "shard/router.hpp"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
 #include <map>
-#include <thread>
+#include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "api/problem.hpp"
-#include "service/json.hpp"
 #include "util/check.hpp"
 #include "util/strings.hpp"
 
 namespace ffp::shard {
 
 namespace {
-
-/// Relay failure toward the CLIENT, as opposed to a backend failure: the
-/// two must stay distinguishable, or a vanished client would put a
-/// healthy shard into cooldown.
-struct ClientGone : Error {
-  using Error::Error;
-};
 
 /// Routing identity for graph_file submissions: hash the path string.
 /// The router never opens graph files — same path routes to the same
@@ -40,220 +29,109 @@ std::uint64_t path_digest(const std::string& path) {
 
 }  // namespace
 
-/// Slot gate + fd registry, the TcpServer pattern: shedding happens at
-/// the acceptor, the stop path kicks blocked readers loose.
-class Router::ConnectionSet {
+/// One client connection's routing state: its shard links and where each
+/// job id went, plus the one op in flight. Lives on the loop thread.
+class Router::Relay final : public LineHandler {
  public:
-  explicit ConnectionSet(unsigned max_clients) : max_clients_(max_clients) {}
-
-  int try_claim(std::shared_ptr<FdHandle> conn) {
-    std::lock_guard lock(mu_);
-    if (stopping_ || live_.size() >= max_clients_) return -1;
-    const int index = next_index_++;
-    live_.emplace(index, std::move(conn));
-    return index;
-  }
-
-  void release(int index) {
-    std::lock_guard lock(mu_);
-    live_.erase(index);
-    finished_.push_back(index);
-  }
-
-  std::vector<int> take_finished() {
-    std::lock_guard lock(mu_);
-    return std::exchange(finished_, {});
-  }
-
-  void stop_all() {
-    std::lock_guard lock(mu_);
-    stopping_ = true;
-    for (const auto& [index, conn] : live_) {
-      (void)index;
-      shutdown_both(*conn);
+  Relay(Router& router, EventLoopServer::Emit emit)
+      : router_(router), emit_(std::move(emit)) {}
+  ~Relay() override {
+    for (const auto& [shard, link] : links_) {
+      (void)shard;
+      link.close();
     }
   }
 
-  bool stopping() const {
-    std::lock_guard lock(mu_);
-    return stopping_;
+  Relay(const Relay&) = delete;
+  Relay& operator=(const Relay&) = delete;
+
+  bool handle_line(std::string_view raw) override;
+  bool owes_reply() override { return op_.has_value(); }
+
+  bool in_flight_on(std::size_t shard) const {
+    return op_.has_value() && op_->shard == shard;
+  }
+  void on_shard_line(std::size_t shard, std::string_view line);
+  void on_shard_closed(std::size_t shard, std::string_view why);
+
+ private:
+  /// The op in flight: its raw line (re-sent on failover), the shards it
+  /// may go to, and where it is now.
+  struct Op {
+    Op(std::string_view raw, std::string job, bool is_submit,
+       std::vector<std::size_t> to)
+        : line(raw), id(std::move(job)), submit(is_submit),
+          shards(std::move(to)) {}
+    std::string line;
+    std::string id;
+    bool submit;
+    std::vector<std::size_t> shards;  ///< submit: ring preference order
+    std::size_t tried = 0;            ///< attempts started
+    std::size_t shard = 0;
+    std::string why;  ///< the last shard failure
+  };
+
+  void forward();
+  void finish(std::string_view reply);
+  void close_link(std::size_t shard);
+
+  Router& router_;
+  EventLoopServer::Emit emit_;
+  std::map<std::size_t, EventLoopServer::Link> links_;
+  std::map<std::string, std::size_t> routed_;  ///< job id -> shard
+  std::optional<Op> op_;
+};
+
+/// A shard link's handler: everything goes to the relay that dialed it.
+class Router::ShardLink final : public LineHandler {
+ public:
+  ShardLink(Relay& relay, std::size_t shard) : relay_(relay), shard_(shard) {}
+
+  bool handle_line(std::string_view line) override {
+    relay_.on_shard_line(shard_, line);
+    return true;
+  }
+  bool owes_reply() override { return relay_.in_flight_on(shard_); }
+  void on_close(std::string_view why) override {
+    relay_.on_shard_closed(shard_, why);
   }
 
  private:
-  const std::size_t max_clients_;
-  mutable std::mutex mu_;
-  std::map<int, std::shared_ptr<FdHandle>> live_;
-  std::vector<int> finished_;
-  int next_index_ = 0;
-  bool stopping_ = false;
-};
-
-/// One client connection's routing state: lazy backend connections (one
-/// per shard, reused across ops so the shard sees one session per client)
-/// and where each job id went.
-struct Router::ClientCtx {
-  struct Backend {
-    FdHandle fd;
-    LineReader reader;
-    explicit Backend(FdHandle f) : fd(std::move(f)), reader(fd) {}
-  };
-
-  std::shared_ptr<FdHandle> conn;
-  std::map<std::size_t, std::unique_ptr<Backend>> backends;
-  std::map<std::string, std::size_t> routed;  ///< job id -> shard
+  Relay& relay_;  ///< outlives this: the relay closes its links first
+  std::size_t shard_;
 };
 
 Router::Router(RouterOptions options)
     : options_(std::move(options)),
-      ring_(options_.shard_ports.size(), options_.vnodes) {
+      ring_(options_.shard_ports.size(), options_.vnodes),
+      down_until_ms_(options_.shard_ports.size(), 0.0),
+      loop_(stats_, options_.loop, [this](EventLoopServer::Emit emit) {
+        return std::make_unique<Relay>(*this, std::move(emit));
+      }) {
   FFP_CHECK(!options_.shard_ports.empty(),
             "Router needs at least one shard port");
-  FFP_CHECK(options_.max_clients >= 1, "Router needs max_clients >= 1");
-  down_until_ms_.assign(options_.shard_ports.size(), 0.0);
-  listener_ = tcp_listen(options_.port, &port_);
-  int fds[2] = {-1, -1};
-  FFP_CHECK(::pipe(fds) == 0, "self-pipe creation failed: errno ", errno);
-  stop_read_ = FdHandle(fds[0]);
-  stop_write_ = FdHandle(fds[1]);
-  ::fcntl(stop_write_.get(), F_SETFL, O_NONBLOCK);
-  ::fcntl(stop_read_.get(), F_SETFD, FD_CLOEXEC);
-  ::fcntl(stop_write_.get(), F_SETFD, FD_CLOEXEC);
-  connections_ = std::make_unique<ConnectionSet>(options_.max_clients);
 }
 
 Router::~Router() = default;
 
-void Router::request_stop() noexcept {
-  const char byte = 1;
-  [[maybe_unused]] const ssize_t n = ::write(stop_write_.get(), &byte, 1);
-}
-
-bool Router::shard_up(std::size_t s) {
-  std::lock_guard lock(health_mu_);
+bool Router::shard_up(std::size_t s) const {
   return down_until_ms_[s] <= clock_.elapsed_millis();
 }
 
 void Router::mark_down(std::size_t s) {
-  std::lock_guard lock(health_mu_);
   down_until_ms_[s] = clock_.elapsed_millis() + options_.down_cooldown_ms;
   std::fprintf(stderr,
                "ffp_router: shard %zu (port %d) marked down for %.0f ms\n", s,
                options_.shard_ports[s], options_.down_cooldown_ms);
 }
 
-void Router::mark_up(std::size_t s) {
-  std::lock_guard lock(health_mu_);
-  down_until_ms_[s] = 0;
-}
-
-void Router::run() {
-  std::map<int, std::thread> workers;
-  const auto reap = [&] {
-    for (const int done : connections_->take_finished()) {
-      const auto it = workers.find(done);
-      if (it == workers.end()) continue;
-      it->second.join();
-      workers.erase(it);
-    }
-  };
-
-  for (;;) {
-    struct pollfd fds[2];
-    fds[0] = {listener_.get(), POLLIN, 0};
-    fds[1] = {stop_read_.get(), POLLIN, 0};
-    const int rc = ::poll(fds, 2, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      std::fprintf(stderr, "ffp_router: poll error: errno %d\n", errno);
-      break;
-    }
-    if ((fds[1].revents & POLLIN) != 0 || connections_->stopping()) break;
-    if ((fds[0].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-
-    std::shared_ptr<FdHandle> conn;
-    try {
-      conn = std::make_shared<FdHandle>(tcp_accept(listener_));
-    } catch (const Error& e) {
-      if (connections_->stopping()) break;
-      std::fprintf(stderr, "ffp_router: accept error: %s\n", e.what());
-      continue;
-    }
-    reap();
-
-    const int index = connections_->try_claim(conn);
-    if (index < 0) {
-      if (connections_->stopping()) break;
-      try {
-        write_line(*conn,
-                   format_error("",
-                                "router at capacity (" +
-                                    std::to_string(options_.max_clients) +
-                                    " clients); retry after backoff",
-                                ErrCode::Overloaded,
-                                options_.overload_retry_after_ms),
-                   options_.write_timeout_ms);
-      } catch (const std::exception&) {
-      }
-      continue;
-    }
-
-    workers.emplace(index, std::thread([this, index, conn] {
-      serve_client(index, conn);
-    }));
-  }
-
-  connections_->stop_all();
-  shutdown_both(listener_);
-  for (auto& [index, worker] : workers) {
-    (void)index;
-    if (worker.joinable()) worker.join();
-  }
-}
-
-void Router::serve_client(int index, std::shared_ptr<FdHandle> conn) {
-  {
-    ClientCtx ctx;
-    ctx.conn = conn;
-    LineReader reader(*conn);
-    reader.set_timeout_ms(options_.idle_timeout_ms);
-    std::string line;
-    bool shutdown_requested = false;
-    try {
-      while (reader.next(line)) {
-        if (!handle_request(ctx, line)) {
-          shutdown_requested = true;
-          break;
-        }
-      }
-    } catch (const ClientGone& e) {
-      std::fprintf(stderr, "ffp_router: client vanished: %s\n", e.what());
-    } catch (const ServiceError& e) {
-      if (e.code() == ErrCode::Timeout) {
-        try {
-          write_line(*conn,
-                     format_error("", std::string("idle timeout: ") + e.what(),
-                                  ErrCode::Timeout),
-                     options_.write_timeout_ms);
-        } catch (const std::exception&) {
-        }
-      } else {
-        std::fprintf(stderr, "ffp_router: connection error: %s\n", e.what());
-      }
-    } catch (const Error& e) {
-      std::fprintf(stderr, "ffp_router: connection error: %s\n", e.what());
-    }
-    if (shutdown_requested) request_stop();
-  }
-  connections_->release(index);
-}
-
-bool Router::handle_request(ClientCtx& ctx, const std::string& raw_line) {
-  if (trim(raw_line).empty()) return true;  // keep-alive
+bool Router::Relay::handle_line(std::string_view raw) {
+  if (trim(raw).empty()) return true;  // keep-alive
   std::string id;
   try {
     // Full validation up front: a malformed request dies HERE with a
-    // structured error and never costs a backend round trip.
-    Request request = parse_request(raw_line, options_.limits);
+    // structured error and never costs a shard round trip.
+    const Request request = parse_request(raw, router_.options_.limits);
     id = request.id;
     switch (request.op) {
       case RequestOp::Submit: {
@@ -261,35 +139,21 @@ bool Router::handle_request(ClientCtx& ctx, const std::string& raw_line) {
             request.inline_graph != nullptr
                 ? api::graph_digest(*request.inline_graph)
                 : path_digest(request.graph_file);
-        const std::size_t shard =
-            forward_submit(ctx, digest, raw_line, request.id);
-        ctx.routed[request.id] = shard;
+        op_.emplace(raw, id, true, router_.ring_.preference(digest));
+        forward();
         return true;
       }
       case RequestOp::Status:
       case RequestOp::Cancel:
       case RequestOp::Result: {
-        const auto it = ctx.routed.find(id);
-        if (it == ctx.routed.end()) {
+        const auto it = routed_.find(id);
+        if (it == routed_.end()) {
           throw ServiceError(ErrCode::UnknownJob,
                              "unknown job id '" + id +
                                  "' (not routed on this connection)");
         }
-        const std::size_t shard = it->second;
-        try {
-          forward_op(ctx, shard, raw_line, id);
-        } catch (const ServiceError& e) {
-          // The shard died with this client's job on it. Cooldown the
-          // shard and hand the client a retryable error: its retry loop
-          // resubmits, and the ring routes around the corpse.
-          mark_down(shard);
-          ctx.backends.erase(shard);
-          throw ServiceError(
-              ErrCode::ShuttingDown,
-              "shard " + std::to_string(shard) + " unavailable (" +
-                  e.what() + "); resubmit to fail over",
-              options_.down_cooldown_ms);
-        }
+        op_.emplace(raw, id, false, std::vector<std::size_t>{it->second});
+        forward();
         return true;
       }
       case RequestOp::MigrateElite:
@@ -297,7 +161,7 @@ bool Router::handle_request(ClientCtx& ctx, const std::string& raw_line) {
             "migrate_elite is shard-to-shard gossip; the router does not "
             "accept it");
       case RequestOp::Shutdown:
-        if (!options_.allow_shutdown) {
+        if (!router_.options_.allow_shutdown) {
           throw ServiceError(
               ErrCode::Forbidden,
               "shutdown is not allowed through the router (start it with "
@@ -305,107 +169,129 @@ bool Router::handle_request(ClientCtx& ctx, const std::string& raw_line) {
         }
         // Router-local: the fleet stays up; stopping shards is an
         // operator action on the shards themselves.
-        write_client(ctx, format_bye());
+        emit_(format_bye());
         return false;
     }
   } catch (const ServiceError& e) {
-    write_client(ctx, format_error(id, e.what(), e.code(),
-                                   e.retry_after_ms()));
-  } catch (const ClientGone&) {
-    throw;  // nothing left to answer to
+    emit_(format_error(id, e.what(), e.code(), e.retry_after_ms()));
   } catch (const Error& e) {
-    write_client(ctx, format_error(id, e.what(), ErrCode::BadRequest));
+    emit_(format_error(id, e.what(), ErrCode::BadRequest));
   } catch (const std::exception& e) {
-    write_client(ctx, format_error(id, e.what(), ErrCode::Internal));
+    emit_(format_error(id, e.what(), ErrCode::Internal));
   }
   return true;
 }
 
-void Router::write_client(ClientCtx& ctx, const std::string& line) {
-  try {
-    write_line(*ctx.conn, line, options_.write_timeout_ms);
-  } catch (const std::exception& e) {
-    throw ClientGone(e.what());
-  }
-}
-
-std::size_t Router::forward_submit(ClientCtx& ctx, std::uint64_t digest,
-                                   const std::string& raw_line,
-                                   const std::string& id) {
-  const std::vector<std::size_t> pref = ring_.preference(digest);
-  // Pass 0: live shards in ring order. Pass 1: everyone — when the whole
-  // preference list is cooling down, probing a corpse beats refusing.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const std::size_t s : pref) {
-      if (pass == 0 && !shard_up(s)) continue;
+/// Sends the op to its next shard. A submit tries live shards in ring
+/// order, then — when all of those failed — every shard again (probing a
+/// cooling shard beats refusing); any other op has only its job's shard.
+/// With nothing left to try, the client gets a retryable error.
+void Router::Relay::forward() {
+  Op& op = *op_;
+  const std::size_t n = op.shards.size();
+  while (op.tried < (op.submit ? 2 * n : 1)) {
+    const std::size_t pos = op.tried++;
+    const std::size_t s = op.shards[pos % n];
+    if (op.submit && pos < n && !router_.shard_up(s)) continue;
+    op.shard = s;
+    auto it = links_.find(s);
+    if (it == links_.end()) {
       try {
-        forward_op(ctx, s, raw_line, id);
-        mark_up(s);
-        return s;
-      } catch (const ServiceError&) {
-        mark_down(s);
-        ctx.backends.erase(s);
+        // tcp_connect to a dead loopback port fails immediately
+        // (ECONNREFUSED) — that is the router's health probe.
+        it = links_
+                 .emplace(s, router_.loop_.dial(
+                                 router_.options_.shard_ports[s],
+                                 router_.options_.backend_io_timeout_ms,
+                                 std::make_unique<ShardLink>(*this, s)))
+                 .first;
+      } catch (const Error& e) {
+        router_.mark_down(s);
+        op.why = e.what();
+        continue;
       }
     }
+    it->second.send(op.line);
+    return;
   }
-  throw ServiceError(ErrCode::ShuttingDown,
-                     "no shard is reachable for this graph; retry after "
-                     "backoff",
-                     options_.down_cooldown_ms);
+  const double retry_ms = router_.options_.down_cooldown_ms;
+  if (op.submit) {
+    finish(format_error(op.id,
+                        "no shard is reachable for this graph; retry after "
+                        "backoff",
+                        ErrCode::ShuttingDown, retry_ms));
+  } else {
+    // The shard died with this client's job on it: its retry loop
+    // resubmits, and the ring routes around the corpse.
+    finish(format_error(op.id,
+                        "shard " + std::to_string(op.shard) +
+                            " unavailable (" + op.why +
+                            "); resubmit to fail over",
+                        ErrCode::ShuttingDown, retry_ms));
+  }
 }
 
-void Router::forward_op(ClientCtx& ctx, std::size_t shard,
-                        const std::string& raw_line, const std::string& id) {
-  auto it = ctx.backends.find(shard);
-  if (it == ctx.backends.end()) {
-    // tcp_connect to a dead loopback port fails immediately
-    // (ECONNREFUSED) — that is the router's health probe.
-    it = ctx.backends
-             .emplace(shard, std::make_unique<ClientCtx::Backend>(
-                                 tcp_connect(options_.shard_ports[shard])))
-             .first;
-  }
-  ClientCtx::Backend& backend = *it->second;
-  write_line(backend.fd, raw_line, options_.write_timeout_ms);
-  backend.reader.set_timeout_ms(options_.backend_io_timeout_ms);
+/// Settles the op with its answer to the client; the emit also wakes the
+/// loop to take the client's next line.
+void Router::Relay::finish(std::string_view reply) {
+  op_.reset();
+  emit_(reply);
+}
 
-  bool drop_backend = false;
-  std::string line;
-  for (;;) {
-    if (!backend.reader.next(line)) {
-      throw ServiceError(ErrCode::ConnLost, "shard closed the connection");
-    }
-    // Verbatim relay FIRST: whatever the shard said, the client hears —
-    // the router adds routing, never rewrites answers.
-    write_client(ctx, line);
+void Router::Relay::close_link(std::size_t shard) {
+  const auto it = links_.find(shard);
+  if (it == links_.end()) return;
+  it->second.close();
+  links_.erase(it);
+}
 
-    std::string event;
-    std::string line_id;
-    try {
-      const JsonValue root = JsonValue::parse(line, options_.limits.json);
-      if (const JsonValue* e = root.find("event");
-          e != nullptr && e->is_string()) {
-        event = e->as_string();
-      }
-      if (const JsonValue* i = root.find("id");
-          i != nullptr && i->is_string()) {
-        line_id = i->as_string();
-      }
-    } catch (const Error&) {
-      throw ServiceError(ErrCode::ConnLost,
-                         "shard response was not parseable");
-    }
-    if (event == "progress") continue;  // stream-through, op still open
-    if (event == "error" && line_id.empty()) {
-      // Connection-level rejection from the shard (shed, reap, drain):
-      // already relayed; this backend conversation is over. The client's
-      // own retry policy takes it from here.
-      drop_backend = true;
-      break;
-    }
-    if (line_id == id || event == "bye") break;  // op settled
+void Router::Relay::on_shard_line(std::size_t shard, std::string_view line) {
+  EventHead head;
+  try {
+    head = read_event_head(line);
+  } catch (const Error&) {
+    // Not the protocol: treat the shard as failed.
+    close_link(shard);
+    on_shard_closed(shard, "unparseable response line");
+    return;
   }
-  if (drop_backend) ctx.backends.erase(shard);
+  const bool conn_error = head.event == "error" && head.id.empty();
+  if (!in_flight_on(shard)) {
+    // Nothing in flight here: a connection-level error is the shard
+    // reaping an idle link (or draining) — close it quietly, the next op
+    // redials. Anything else (a progress event that outlived its op)
+    // relays.
+    if (conn_error) {
+      close_link(shard);
+    } else {
+      emit_(line);
+    }
+    return;
+  }
+  // Verbatim relay: whatever the shard said, the client hears — the
+  // router adds routing, never rewrites answers.
+  if (head.event == "progress" || (head.id != op_->id && !conn_error &&
+                                   head.event != "bye")) {
+    emit_(line);
+    return;
+  }
+  // The op settled: its own answer, the shard's goodbye, or a
+  // connection-level rejection (shed, drain) that ends this conversation
+  // and leaves the retry to the client.
+  if (conn_error) close_link(shard);
+  if (op_->submit) {
+    routed_[op_->id] = shard;
+    router_.mark_up(shard);
+  }
+  finish(line);
+}
+
+void Router::Relay::on_shard_closed(std::size_t shard, std::string_view why) {
+  links_.erase(shard);
+  if (!in_flight_on(shard)) return;  // an idle link: the next op redials
+  router_.mark_down(shard);
+  op_->why = why;
+  forward();
 }
 
 }  // namespace ffp::shard

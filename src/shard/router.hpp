@@ -6,6 +6,16 @@
 // learning the graph. The router holds no solver state at all: every
 // response line from the shard is relayed to the client verbatim.
 //
+// Transport: the router is an EventLoopServer (net/event_loop.hpp) with a
+// relay as each client's line handler, so it shares ffp_serve's shedding,
+// idle reaping, write deadlines, drain and FFP_FAULT points. Each relay
+// dials its shard links through the same loop, lazily, one per shard and
+// reused across ops (the shard sees one session per client); links are
+// exempt from max_clients and the idle reaper, and
+// `backend_io_timeout_ms` bounds each line while an op is in flight. A
+// client has at most one op in flight: the loop holds its further lines
+// until the op settles, so backpressure reaches the client as before.
+//
 // Routing identity: inline graphs route by their content digest (the same
 // api::graph_digest the cache keys on); graph_file submissions route by a
 // hash of the path string — the router never opens graph files, and same
@@ -20,20 +30,19 @@
 //     a routed job) are answered with a retryable `shutting_down` error;
 //     a ServiceClient resubmits the job on its next attempt and the ring
 //     routes it to the failover shard — idempotent via the shard caches.
-//   * A shard's own connection-level rejections (overload shed, idle
-//     reap) relay verbatim; the client's backoff applies unchanged.
+//   * A shard's own connection-level rejection (overload shed, drain)
+//     during an op relays verbatim; the client's backoff applies
+//     unchanged. The same kind of line on a link with nothing in flight —
+//     a shard reaping the idle link — just closes it: the next op redials.
 //
 // Shutdown ops are router-local (gated by allow_shutdown) — a client must
 // not be able to stop a whole fleet through the front door. migrate_elite
 // is rejected: migration is shard-to-shard gossip, not client traffic.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
-#include "service/net.hpp"
+#include "net/event_loop.hpp"
 #include "service/protocol.hpp"
 #include "shard/hash_ring.hpp"
 #include "util/timer.hpp"
@@ -41,17 +50,15 @@
 namespace ffp::shard {
 
 struct RouterOptions {
-  int port = 0;               ///< 127.0.0.1 port; 0 picks ephemeral
+  /// The client side: port, max_clients, idle reap, write deadline (client
+  /// and shard lines alike), shed retry-after hint.
+  EventLoopOptions loop;
   std::vector<int> shard_ports;  ///< backend ffp_serve ports, 127.0.0.1
-  unsigned max_clients = 64;  ///< live client sessions; beyond this, shed
-  double idle_timeout_ms = 30000;   ///< client idle reap
-  double write_timeout_ms = 10000;  ///< client response write deadline
-  /// Relay read deadline per backend response line. <= 0 blocks forever —
-  /// the right default, because a `result` op legitimately waits out the
-  /// whole solve; a shard that dies mid-wait closes the socket and fails
-  /// the read immediately either way.
+  /// Shard read deadline per line while an op is in flight. <= 0 waits
+  /// forever — the right default, because a `result` op legitimately
+  /// waits out the whole solve; a shard that dies mid-wait closes the
+  /// socket and fails the op immediately either way.
   double backend_io_timeout_ms = 0;
-  double overload_retry_after_ms = 250;
   /// How long a failed shard stays out of the rotation before the next
   /// request may probe it again.
   double down_cooldown_ms = 2000;
@@ -69,51 +76,29 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  int port() const { return port_; }
+  int port() const { return loop_.port(); }
   std::size_t shards() const { return options_.shard_ports.size(); }
 
   /// Serves until request_stop() (or an allowed client shutdown op).
-  void run();
+  void run() { loop_.run(); }
 
-  /// Async-signal-safe stop request (self-pipe write); idempotent.
-  void request_stop() noexcept;
+  /// Async-signal-safe stop request; idempotent.
+  void request_stop() noexcept { loop_.request_stop(); }
 
  private:
-  class ConnectionSet;
-  struct ClientCtx;
+  class Relay;
+  class ShardLink;
 
-  void serve_client(int index, std::shared_ptr<FdHandle> conn);
-  bool handle_request(ClientCtx& ctx, const std::string& raw_line);
-  /// Writes one line to the client; rethrows write failures as a distinct
-  /// type so they never masquerade as shard failures.
-  void write_client(ClientCtx& ctx, const std::string& line);
-
-  bool shard_up(std::size_t s);
+  bool shard_up(std::size_t s) const;
   void mark_down(std::size_t s);
-  void mark_up(std::size_t s);
-  /// Routes one submit: tries the ring's preference order, skipping
-  /// shards in cooldown (falling back to them last-resort when everyone
-  /// is down). Returns the shard that settled the op.
-  std::size_t forward_submit(ClientCtx& ctx, std::uint64_t digest,
-                             const std::string& raw_line,
-                             const std::string& id);
-  /// Forwards one raw line to `shard` and relays responses until the op
-  /// settles (terminal event for `id`, or a connection-level error).
-  /// Throws ServiceError on backend transport failure.
-  void forward_op(ClientCtx& ctx, std::size_t shard,
-                  const std::string& raw_line, const std::string& id);
+  void mark_up(std::size_t s) { down_until_ms_[s] = 0; }
 
   RouterOptions options_;
   HashRing ring_;
-  FdHandle listener_;
-  int port_ = 0;
-  FdHandle stop_read_;
-  FdHandle stop_write_;
-  std::unique_ptr<ConnectionSet> connections_;
-
   WallTimer clock_;
-  std::mutex health_mu_;
-  std::vector<double> down_until_ms_;  ///< per shard; 0 = up
+  std::vector<double> down_until_ms_;  ///< per shard; 0 = up (loop thread)
+  ServeStats stats_;
+  EventLoopServer loop_;  ///< last: its handlers use everything above
 };
 
 }  // namespace ffp::shard

@@ -93,6 +93,15 @@ struct SolverResult {
   double stat(std::string_view name, double fallback = 0.0) const;
 };
 
+/// How far a solver takes part in evolve portfolios (src/evolve/): which
+/// restart seeds it honors with the never-worse-than-the-seed contract
+/// the evolve plan relies on.
+enum class EvolveSupport {
+  None,        ///< an evolve spec runs as a plain portfolio
+  MutateOnly,  ///< restarts may warm-start from archived elites
+  Crossover,   ///< ... and from the overlay of two elites
+};
+
 class Solver {
  public:
   virtual ~Solver() = default;
@@ -101,6 +110,7 @@ class Solver {
   /// True for budgeted, objective-aware solvers; false for the direct
   /// (deterministic, Cut-minimizing) Chaco family.
   virtual bool is_metaheuristic() const = 0;
+  virtual EvolveSupport evolve_support() const { return EvolveSupport::None; }
   virtual SolverResult run(const Graph& g, const SolverRequest& request) const = 0;
 };
 
@@ -119,6 +129,9 @@ class FusionFissionSolver final : public Solver {
       : base_(std::move(base)) {}
   std::string name() const override { return "fusion_fission"; }
   bool is_metaheuristic() const override { return true; }
+  EvolveSupport evolve_support() const override {
+    return EvolveSupport::Crossover;
+  }
   SolverResult run(const Graph& g, const SolverRequest& request) const override;
 
  private:
@@ -134,6 +147,10 @@ class MlffSolver final : public Solver {
   explicit MlffSolver(MlffOptions base = {}) : base_(std::move(base)) {}
   std::string name() const override { return "mlff"; }
   bool is_metaheuristic() const override { return true; }
+  /// The incumbent is only a post-hoc guard here, so no crossover.
+  EvolveSupport evolve_support() const override {
+    return EvolveSupport::MutateOnly;
+  }
   SolverResult run(const Graph& g, const SolverRequest& request) const override;
 
  private:

@@ -328,6 +328,26 @@ TEST(EngineCache, EvolveSolvesBypassTheCache) {
   EXPECT_GE(engine.archive_counters().elites, 1);
 }
 
+// Evolve seeding is a solver capability: a solver that declares none
+// (annealing) runs an evolve spec as the plain portfolio — the same
+// partition with or without the flag, even with the archive populated.
+TEST(EngineEvolve, SolverWithoutEvolveSupportIgnoresTheFlag) {
+  api::Engine engine;
+  const api::Problem problem = api::Problem::generated("grid2d:8,8");
+  api::SolveSpec spec;
+  spec.method = "annealing";
+  spec.k = 3;
+  spec.steps = 2000;
+  spec.restarts = 2;
+  const SolverResult plain = engine.solve(problem, spec);
+  spec.evolve = true;
+  const SolverResult evolved = engine.solve(problem, spec);
+  EXPECT_GE(engine.archive_counters().elites, 1);
+  EXPECT_TRUE(std::ranges::equal(evolved.best.assignment(),
+                                 plain.best.assignment()));
+  EXPECT_EQ(evolved.best_value, plain.best_value);
+}
+
 TEST(EngineCache, WallClockSolvesNeverTouchTheCache) {
   api::EngineOptions options;
   options.cache_capacity = 2;

@@ -1,183 +1,52 @@
-// EventLoopServer suite: the epoll transport must be a drop-in for the
-// thread-per-connection TcpServer — same wire protocol, same policies,
-// byte-identical results — while holding its headline promise: thousands
-// of concurrent connections on a BOUNDED thread count (the loop thread
-// plus the engine's runners, nothing per client).
+// EventLoopServer suite — the one TCP transport, driven with real loopback
+// sockets: ServiceHost + event loop on one side, ServiceClient's retry
+// loop (or raw sockets) on the other. The fault scenarios over the same
+// setup live in test_chaos.
 //
-// The determinism assertions all compare against a thread-server
-// reference computed in-process: identical jobs at identical seeds must
-// produce identical partitions through either transport, faults or not.
+// The contract being proven:
+//   * byte-identical results to an in-process ServiceSession with no
+//     transport at all;
+//   * thousands of concurrent connections on a BOUNDED thread count (the
+//     loop thread plus the engine's runners, nothing per client);
+//   * the connection policies: immediate structured shedding beyond
+//     max_clients, idle reaping that never cuts off an owed reply,
+//     forbidden remote shutdown, bounded graceful drain (ctest enforces a
+//     hard timeout).
 #include "net/event_loop.hpp"
 
 #include <gtest/gtest.h>
-#include <sys/resource.h>
 
-#include <fstream>
-#include <map>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "serve_support.hpp"
 #include "service/client.hpp"
 #include "service/json.hpp"
 #include "service/net.hpp"
-#include "service/server.hpp"
 #include "service/service.hpp"
-#include "util/fault.hpp"
+#include "util/timer.hpp"
 
 namespace ffp {
 namespace {
 
-struct FaultGuard {
-  ~FaultGuard() { fault::configure(""); }
-};
+using testing::client_options;
+using testing::LoopServer;
+using testing::mixed_jobs;
+using testing::outcomes;
+using testing::session_reference;
 
-/// Host + EventLoopServer on an ephemeral port, pumping in a background
-/// thread (the "loop thread" — the only thread the transport adds).
-struct LoopServer {
-  explicit LoopServer(ServiceOptions sopt = service_defaults(),
-                      EventLoopOptions lopt = loop_defaults())
-      : host(std::move(sopt)),
-        server(host, std::move(lopt)),
-        pump([this] { server.run(); }) {}
-
-  ~LoopServer() {
-    server.request_stop();
-    if (pump.joinable()) pump.join();
-  }
-
-  static ServiceOptions service_defaults() {
-    ServiceOptions options;
-    options.runners = 2;
-    return options;
-  }
-  static EventLoopOptions loop_defaults() {
-    EventLoopOptions options;
-    options.port = 0;
-    options.idle_timeout_ms = 10000;
-    options.write_timeout_ms = 10000;
-    return options;
-  }
-
-  int port() const { return server.port(); }
-
-  ServiceHost host;
-  EventLoopServer server;
-  std::thread pump;
-};
-
-/// A deterministic mixed batch: step-budgeted jobs over two graphs, two
-/// k values and two objectives — enough variety that transport-dependent
-/// reordering would show up as a diff.
-std::vector<ClientJob> mixed_jobs() {
-  std::string ring = "[";
-  for (int v = 0; v < 12; ++v) {
-    if (v > 0) ring += ",";
-    ring += "[" + std::to_string(v) + "," + std::to_string((v + 1) % 12) + "]";
-  }
-  ring += "]";
-  std::string grid = "[";
-  bool first = true;
-  for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      const int v = r * 4 + c;
-      if (c + 1 < 4) {
-        if (!first) grid += ",";
-        first = false;
-        grid += "[" + std::to_string(v) + "," + std::to_string(v + 1) + "]";
-      }
-      if (r + 1 < 4) {
-        grid += ",[" + std::to_string(v) + "," + std::to_string(v + 4) + "]";
-      }
-    }
-  }
-  grid += "]";
-
-  std::vector<ClientJob> jobs;
-  const auto add = [&jobs](const std::string& id, const std::string& edges,
-                           int n, int k, const std::string& objective,
-                           int seed) {
-    jobs.push_back(
-        {id, "{\"op\":\"submit\",\"id\":\"" + id + "\",\"graph\":{\"n\":" +
-                 std::to_string(n) + ",\"edges\":" + edges +
-                 "},\"k\":" + std::to_string(k) + ",\"objective\":\"" +
-                 objective + "\",\"steps\":400,\"seed\":" +
-                 std::to_string(seed) + "}"});
-  };
-  add("m0", ring, 12, 2, "cut", 7);
-  add("m1", ring, 12, 3, "mcut", 8);
-  add("m2", grid, 16, 2, "ncut", 9);
-  add("m3", grid, 16, 4, "cut", 10);
-  add("m4", ring, 12, 2, "cut", 7);  // duplicate of m0: cache territory
-  return jobs;
-}
-
-ServiceClientOptions client_options(int port) {
-  ServiceClientOptions options;
-  options.port = port;
-  options.retry.max_attempts = 8;
-  options.retry.base_ms = 5;
-  options.retry.max_ms = 50;
-  options.retry.seed = 11;
-  options.io_timeout_ms = 10000;
-  return options;
-}
-
-std::map<std::string, std::pair<std::vector<int>, double>> outcomes(
-    const std::vector<ClientResult>& results) {
-  std::map<std::string, std::pair<std::vector<int>, double>> out;
-  for (const ClientResult& r : results) {
-    EXPECT_TRUE(r.ok) << r.id << " failed [" << err_name(r.code)
-                      << "]: " << r.error;
-    if (!r.ok) continue;
-    const JsonValue event = JsonValue::parse(r.result_line);
-    std::vector<int> parts;
-    for (const auto& p : event.find("partition")->as_array()) {
-      parts.push_back(static_cast<int>(p.as_int()));
-    }
-    out[r.id] = {std::move(parts), event.find("value")->as_number()};
-  }
-  return out;
-}
-
-/// The thread-per-connection reference for the mixed batch — what the
-/// event loop must reproduce byte for byte.
-const std::map<std::string, std::pair<std::vector<int>, double>>&
-thread_server_reference() {
-  static const auto reference = [] {
-    FaultGuard guard;
-    fault::configure("");
-    ServiceOptions sopt;
-    sopt.runners = 2;
-    ServiceHost host(std::move(sopt));
-    TcpServerOptions topt;
-    topt.port = 0;
-    TcpServer server(host, std::move(topt));
-    std::thread pump([&server] { server.run(); });
-    ServiceClient client(client_options(server.port()));
-    auto out = outcomes(client.run(mixed_jobs()));
-    EXPECT_EQ(out.size(), mixed_jobs().size());
-    server.request_stop();
-    pump.join();
-    return out;
-  }();
-  return reference;
-}
-
-int thread_count() {
-  std::ifstream status("/proc/self/status");
+/// Reads one line and returns it parsed (a "<closed>" event at EOF).
+JsonValue next_event(LineReader& reader) {
   std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("Threads:", 0) == 0) {
-      return std::atoi(line.c_str() + 8);
-    }
-  }
-  return -1;
+  EXPECT_TRUE(reader.next(line)) << "connection closed";
+  return JsonValue::parse(!line.empty() ? line
+                                        : R"({"event":"<closed>",)"
+                                          R"("code":"<closed>"})");
 }
 
-TEST(EventLoop, MixedBatchMatchesThreadServerByteForByte) {
-  const auto& reference = thread_server_reference();
+TEST(EventLoop, MixedBatchMatchesAnInProcessSessionByteForByte) {
+  const auto& reference = session_reference();
+  ASSERT_EQ(reference.size(), mixed_jobs().size());
   LoopServer server;
   ServiceClient client(client_options(server.port()));
   EXPECT_EQ(outcomes(client.run(mixed_jobs())), reference);
@@ -188,24 +57,15 @@ TEST(EventLoop, MixedBatchMatchesThreadServerByteForByte) {
 // descriptors, not threads.
 TEST(EventLoop, SustainsAThousandConcurrentConnectionsWithBoundedThreads) {
   // Two fds per connection (client + server end), plus slack.
-  rlimit limit{};
-  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &limit), 0);
-  const rlim_t wanted = 4096;
-  if (limit.rlim_cur < wanted && limit.rlim_max >= wanted) {
-    rlimit raised = limit;
-    raised.rlim_cur = wanted;
-    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &raised), 0);
-  } else if (limit.rlim_max < wanted) {
-    GTEST_SKIP() << "RLIMIT_NOFILE hard cap " << limit.rlim_max
-                 << " cannot hold 2x1024 sockets";
+  if (!testing::raise_fd_limit(4096)) {
+    GTEST_SKIP() << "RLIMIT_NOFILE cannot hold 2x1024 sockets";
   }
-
   constexpr int kConns = 1024;
   EventLoopOptions lopt = LoopServer::loop_defaults();
   lopt.max_clients = kConns + 8;
-  LoopServer server(LoopServer::service_defaults(), lopt);
+  LoopServer server(lopt);
 
-  const int threads_before = thread_count();
+  const int threads_before = testing::thread_count();
   ASSERT_GT(threads_before, 0);
 
   std::vector<FdHandle> conns;
@@ -223,15 +83,13 @@ TEST(EventLoop, SustainsAThousandConcurrentConnectionsWithBoundedThreads) {
   for (int i = 0; i < kConns; ++i) {
     LineReader reader(conns[static_cast<std::size_t>(i)]);
     reader.set_timeout_ms(20000);
-    std::string line;
-    ASSERT_TRUE(reader.next(line)) << "connection " << i << " got no reply";
-    EXPECT_EQ(JsonValue::parse(line).find("code")->as_string(), "unknown_job");
+    EXPECT_EQ(next_event(reader).find("code")->as_string(), "unknown_job")
+        << "connection " << i;
   }
 
   // 1024 live connections added ZERO threads: the loop was already
   // running, and nothing is spawned per client.
-  const int threads_during = thread_count();
-  EXPECT_LE(threads_during, threads_before)
+  EXPECT_LE(testing::thread_count(), threads_before)
       << "event loop grew threads with connection count";
 
   // With all of that held open, real work still flows end to end.
@@ -239,21 +97,17 @@ TEST(EventLoop, SustainsAThousandConcurrentConnectionsWithBoundedThreads) {
   LineReader reader(worker);
   reader.set_timeout_ms(20000);
   write_line(worker, mixed_jobs()[0].submit_line, 10000);
-  std::string line;
-  ASSERT_TRUE(reader.next(line));
-  ASSERT_EQ(JsonValue::parse(line).find("event")->as_string(), "ack") << line;
+  ASSERT_EQ(next_event(reader).find("event")->as_string(), "ack");
   write_line(worker, R"({"op":"result","id":"m0"})", 10000);
-  ASSERT_TRUE(reader.next(line));
-  const JsonValue result = JsonValue::parse(line);
-  ASSERT_EQ(result.find("event")->as_string(), "result") << line;
+  const JsonValue result = next_event(reader);
+  ASSERT_EQ(result.find("event")->as_string(), "result");
   EXPECT_EQ(result.find("value")->as_number(),
-            thread_server_reference().at("m0").second);
+            session_reference().at("m0").second);
 
   // The server reports what it is carrying.
   write_line(worker, R"({"op":"status","id":"m0"})", 10000);
-  ASSERT_TRUE(reader.next(line));
-  const JsonValue status = JsonValue::parse(line);
-  ASSERT_NE(status.find("conns_open"), nullptr) << line;
+  const JsonValue status = next_event(reader);
+  ASSERT_NE(status.find("conns_open"), nullptr);
   EXPECT_GE(status.find("conns_open")->as_int(), kConns);
   EXPECT_GE(status.find("conns_total")->as_int(), kConns + 1);
   EXPECT_GT(status.find("loop_wakeups")->as_int(), 0);
@@ -263,53 +117,55 @@ TEST(EventLoop, ShedsBeyondMaxClientsWithStructuredError) {
   EventLoopOptions lopt = LoopServer::loop_defaults();
   lopt.max_clients = 1;
   lopt.overload_retry_after_ms = 123;
-  LoopServer server(LoopServer::service_defaults(), lopt);
+  LoopServer server(lopt);
 
+  // First connection claims the only slot. Prove the claim landed (the
+  // session answers) before dialing the next connection, so the shed is
+  // deterministic, not a race with the accept loop.
   FdHandle holder = tcp_connect(server.port());
   {
     LineReader reader(holder);
     reader.set_timeout_ms(5000);
     write_line(holder, R"({"op":"status","id":"nope"})");
-    std::string line;
-    ASSERT_TRUE(reader.next(line));
-    ASSERT_EQ(JsonValue::parse(line).find("code")->as_string(), "unknown_job");
+    ASSERT_EQ(next_event(reader).find("code")->as_string(), "unknown_job");
   }
 
+  // The second connection is told "overloaded" IMMEDIATELY — not queued
+  // behind the holder, not silently hung — and then closed.
   FdHandle extra = tcp_connect(server.port());
   LineReader reader(extra);
   reader.set_timeout_ms(5000);
+  const JsonValue event = next_event(reader);
+  ASSERT_EQ(event.find("event")->as_string(), "error");
+  EXPECT_EQ(event.find("code")->as_string(), "overloaded");
+  EXPECT_TRUE(event.find("retryable")->as_bool());
+  EXPECT_EQ(event.find("retry_after_ms")->as_number(), 123.0);
   std::string line;
-  ASSERT_TRUE(reader.next(line));
-  const JsonValue event = JsonValue::parse(line);
-  ASSERT_EQ(event.find("event")->as_string(), "error") << line;
-  EXPECT_EQ(event.find("code")->as_string(), "overloaded") << line;
-  EXPECT_TRUE(event.find("retryable")->as_bool()) << line;
-  EXPECT_EQ(event.find("retry_after_ms")->as_number(), 123.0) << line;
   EXPECT_FALSE(reader.next(line));
   extra.reset();
-
-  // The shed is counted.
-  LineReader holder_reader(holder);
-  holder_reader.set_timeout_ms(5000);
-  write_line(holder, R"({"op":"status","id":"nope"})");
-  ASSERT_TRUE(holder_reader.next(line));
-  // (unknown_job error still carries no counters; use the host directly)
   EXPECT_GE(server.host.serve_stats().snapshot().sheds, 1);
+
+  // Once the holder leaves, a retrying client gets real service.
+  holder.reset();
+  ServiceClient client(client_options(server.port()));
+  EXPECT_EQ(outcomes(client.run(mixed_jobs())), session_reference());
 }
 
 TEST(EventLoop, ReapsIdleConnectionsWithAStructuredGoodbye) {
   EventLoopOptions lopt = LoopServer::loop_defaults();
-  lopt.idle_timeout_ms = 200;
-  LoopServer server(LoopServer::service_defaults(), lopt);
+  lopt.idle_timeout_ms = 200;  // a silent client loses its slot fast
+  LoopServer server(lopt);
 
   FdHandle idle = tcp_connect(server.port());
   LineReader reader(idle);
   reader.set_timeout_ms(5000);
+  // Send nothing: within the idle window the server reaps us with a
+  // retryable timeout error, then closes.
+  const JsonValue event = next_event(reader);
+  EXPECT_EQ(event.find("event")->as_string(), "error");
+  EXPECT_EQ(event.find("code")->as_string(), "timeout");
+  EXPECT_TRUE(event.find("retryable")->as_bool());
   std::string line;
-  ASSERT_TRUE(reader.next(line));
-  const JsonValue event = JsonValue::parse(line);
-  EXPECT_EQ(event.find("event")->as_string(), "error") << line;
-  EXPECT_EQ(event.find("code")->as_string(), "timeout") << line;
   EXPECT_FALSE(reader.next(line));
 
   // The freed slot serves the next client normally.
@@ -317,69 +173,56 @@ TEST(EventLoop, ReapsIdleConnectionsWithAStructuredGoodbye) {
   LineReader live_reader(live);
   live_reader.set_timeout_ms(5000);
   write_line(live, mixed_jobs()[0].submit_line);
-  ASSERT_TRUE(live_reader.next(line));
-  EXPECT_EQ(JsonValue::parse(line).find("event")->as_string(), "ack") << line;
+  EXPECT_EQ(next_event(live_reader).find("event")->as_string(), "ack");
+}
+
+// A client waiting on a result is owed a reply: the idle clock stands
+// still until the reply is sent, then restarts.
+TEST(EventLoop, IdleClockStopsWhileAResultIsOwed) {
+  EventLoopOptions lopt = LoopServer::loop_defaults();
+  lopt.idle_timeout_ms = 500;
+  LoopServer server(lopt);
+
+  FdHandle conn = tcp_connect(server.port());
+  LineReader reader(conn);
+  reader.set_timeout_ms(10000);
+  write_line(conn,
+             R"({"op":"submit","id":"long","graph":{"n":8,"edges":)"
+             R"([[0,1],[1,2],[2,3],[3,4],[4,5],[5,6],[6,7],[7,0]]},)"
+             R"("k":2,"budget_ms":1500})");
+  ASSERT_EQ(next_event(reader).find("event")->as_string(), "ack");
+
+  const WallTimer waited;
+  write_line(conn, R"({"op":"result","id":"long"})");
+  const JsonValue result = next_event(reader);
+  EXPECT_EQ(result.find("event")->as_string(), "result");
+  EXPECT_GE(waited.elapsed_millis(), 1000.0);
+
+  // Reply sent: the silence after it is reaped as usual.
+  const JsonValue goodbye = next_event(reader);
+  EXPECT_EQ(goodbye.find("code")->as_string(), "timeout");
+  std::string line;
+  EXPECT_FALSE(reader.next(line));
 }
 
 TEST(EventLoop, RemoteShutdownForbiddenWhenThePolicyDeniesIt) {
   // ffp_serve's default stance: remote shutdown stays off unless
   // --allow-remote-shutdown flips the session policy.
-  EventLoopOptions lopt = LoopServer::loop_defaults();
-  lopt.session.allow_shutdown = false;
-  LoopServer server(LoopServer::service_defaults(), lopt);
+  SessionPolicy policy;
+  policy.allow_shutdown = false;
+  LoopServer server(LoopServer::loop_defaults(), policy);
   FdHandle conn = tcp_connect(server.port());
   LineReader reader(conn);
   reader.set_timeout_ms(5000);
   write_line(conn, R"({"op":"shutdown"})");
-  std::string line;
-  ASSERT_TRUE(reader.next(line));
-  const JsonValue event = JsonValue::parse(line);
-  EXPECT_EQ(event.find("event")->as_string(), "error") << line;
-  EXPECT_EQ(event.find("code")->as_string(), "forbidden") << line;
+  const JsonValue event = next_event(reader);
+  EXPECT_EQ(event.find("event")->as_string(), "error");
+  EXPECT_EQ(event.find("code")->as_string(), "forbidden");
+  EXPECT_FALSE(event.find("retryable")->as_bool());
 
+  // The connection survived the refusal and still serves requests.
   write_line(conn, mixed_jobs()[0].submit_line);
-  ASSERT_TRUE(reader.next(line));
-  EXPECT_EQ(JsonValue::parse(line).find("event")->as_string(), "ack") << line;
-}
-
-/// One chaos scenario against the EVENT LOOP transport: full success and
-/// byte-identical outcomes vs the thread-server reference.
-void run_loop_chaos(const std::string& spec, bool expect_fires) {
-  const auto& reference = thread_server_reference();
-  FaultGuard guard;
-  LoopServer server;
-  fault::configure(spec);
-  ServiceClient client(client_options(server.port()));
-  const auto chaos = outcomes(client.run(mixed_jobs()));
-  if (expect_fires) {
-    EXPECT_GT(fault::fires(), 0) << "scenario injected nothing: " << spec;
-  }
-  fault::configure("");
-  EXPECT_EQ(chaos, reference) << "results diverged under: " << spec;
-}
-
-TEST(EventLoopChaos, SurvivesConnectionDrops) {
-  run_loop_chaos("conn_drop=1;seed=5;max_fires=3", true);
-}
-
-TEST(EventLoopChaos, SurvivesShortReads) {
-  // Every recv one byte: the loop's incremental framing must reassemble
-  // from maximal fragmentation, exactly like LineReader does.
-  run_loop_chaos("short_read=1;seed=5", true);
-}
-
-TEST(EventLoopChaos, SurvivesTornWrites) {
-  run_loop_chaos("torn_write=1;seed=5;max_fires=2", true);
-}
-
-TEST(EventLoopChaos, SurvivesDelayedResponses) {
-  run_loop_chaos("delay_response=1;delay_ms=30;seed=5;max_fires=4", true);
-}
-
-TEST(EventLoopChaos, SurvivesMixedFaults) {
-  run_loop_chaos(
-      "conn_drop=0.3;short_read=0.3;torn_write=0.2;seed=17;max_fires=6",
-      false /* probabilistic: may fire zero times */);
+  EXPECT_EQ(next_event(reader).find("event")->as_string(), "ack");
 }
 
 TEST(EventLoop, GracefulDrainWithAJobInFlight) {
@@ -387,16 +230,16 @@ TEST(EventLoop, GracefulDrainWithAJobInFlight) {
   FdHandle conn = tcp_connect(server.port());
   LineReader reader(conn);
   reader.set_timeout_ms(5000);
+  // A wall-clock job long enough to still be running at the stop signal.
   write_line(conn,
              R"({"op":"submit","id":"slow","graph":{"n":8,"edges":)"
              R"([[0,1],[1,2],[2,3],[3,4],[4,5],[5,6],[6,7],[7,0]]},)"
              R"("k":2,"budget_ms":60000})");
-  std::string line;
-  ASSERT_TRUE(reader.next(line));
-  ASSERT_EQ(JsonValue::parse(line).find("event")->as_string(), "ack") << line;
+  ASSERT_EQ(next_event(reader).find("event")->as_string(), "ack");
 
-  // The drain must cancel the running job and return well within the
-  // ctest timeout — that timeout is the real assertion.
+  // SIGTERM path: the drain must cancel the running job (anytime
+  // semantics) and return well within the ctest timeout — that timeout
+  // is the real assertion here. The destructor stops again harmlessly.
   server.server.request_stop();
   server.pump.join();
 }

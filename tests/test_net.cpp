@@ -24,7 +24,7 @@ struct SocketPair {
     int port = 0;
     FdHandle listener = tcp_listen(0, &port);
     client = tcp_connect(port);
-    server = FdHandle(tcp_accept(listener));
+    server = FdHandle(::accept(listener.get(), nullptr, nullptr));
   }
   FdHandle client;
   FdHandle server;

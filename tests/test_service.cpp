@@ -469,6 +469,25 @@ TEST(ServiceProtocol, ErrorEventsCarryTheCodeTaxonomy) {
   EXPECT_FALSE(err.find("retryable")->as_bool());
 }
 
+// The router reads only this head of a response line.
+TEST(ServiceProtocol, EventHeadReadsEventAndIdFromTheFormattedPrefix) {
+  const EventHead ack = read_event_head(format_ack("a\"b\\c"));
+  EXPECT_EQ(ack.event, "ack");
+  EXPECT_EQ(ack.id, "a\"b\\c");  // escapes decoded
+  const EventHead shed = read_event_head(
+      format_error("", "full", ErrCode::Overloaded, 250));
+  EXPECT_EQ(shed.event, "error");
+  EXPECT_EQ(shed.id, "");
+  const EventHead bye = read_event_head(format_bye());
+  EXPECT_EQ(bye.event, "bye");
+  EXPECT_EQ(bye.id, "");
+  for (const char* bad : {"", "garbage", R"({"id":"x","event":"ack"})",
+                          R"({"event":"ack","id":"unterminated)",
+                          R"({"event":7})"}) {
+    EXPECT_THROW(read_event_head(bad), Error) << bad;
+  }
+}
+
 // The remote-shutdown gate: a session whose policy forbids shutdown
 // answers with a fatal `forbidden` error and KEEPS SERVING — the
 // connection is not torn down, and real work still goes through.

@@ -8,13 +8,19 @@
 //     shard — its result cache answers the repeats (digest affinity);
 //   * a shard SIGKILLed mid-batch costs retries, not results: the
 //     router's retryable errors plus the client's resubmission loop land
-//     every job on the survivor, byte-identical to a fault-free run;
+//     every job on the survivor, byte-identical to a fault-free run — and
+//     so does a run under injected transport faults;
+//   * the router's clients and shard links share one event loop: no
+//     thread per client, the loop's shedding and idle reaping, results
+//     bigger than any request relayed intact, and a shard reaping an idle
+//     link never answers the client's next request;
 //   * an elite migrated between shards is admitted through the peer's
 //     diversity-aware archive rules and is visible in its counters.
 #include "shard/hash_ring.hpp"
 
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -26,19 +32,23 @@
 #include <thread>
 #include <vector>
 
+#include "net/event_loop.hpp"
+#include "serve_support.hpp"
 #include "service/client.hpp"
 #include "service/json.hpp"
 #include "service/net.hpp"
-#include "service/server.hpp"
 #include "service/service.hpp"
 #include "shard/migrate.hpp"
 #include "shard/router.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace ffp {
 namespace {
 
 using shard::HashRing;
+using testing::Outcomes;
+using testing::outcomes;
 
 TEST(HashRing, DeterministicAndInRange) {
   const HashRing a(4, 64);
@@ -97,9 +107,9 @@ TEST(HashRing, AddingAShardRemapsABoundedFraction) {
 // background threads.
 
 struct Shard {
-  explicit Shard(std::size_t evolve_capacity = 8)
-      : host(options(evolve_capacity)),
-        server(host, server_options()),
+  explicit Shard(EventLoopOptions lopt = {})
+      : host(options()),
+        server(host.serve_stats(), lopt, serve_sessions(host, {})),
         pump([this] { server.run(); }) {}
 
   ~Shard() {
@@ -107,32 +117,26 @@ struct Shard {
     if (pump.joinable()) pump.join();
   }
 
-  static ServiceOptions options(std::size_t evolve_capacity) {
+  static ServiceOptions options() {
     ServiceOptions o;
     o.runners = 2;
-    o.evolve_capacity = evolve_capacity;
-    return o;
-  }
-  static TcpServerOptions server_options() {
-    TcpServerOptions o;
-    o.port = 0;
     return o;
   }
 
   int port() const { return server.port(); }
 
   ServiceHost host;
-  TcpServer server;
+  EventLoopServer server;
   std::thread pump;
 };
 
 struct Fleet {
-  explicit Fleet(std::size_t shards, shard::RouterOptions ropt = {}) {
+  explicit Fleet(std::size_t shards, shard::RouterOptions ropt = {},
+                 EventLoopOptions shard_loop = {}) {
     for (std::size_t s = 0; s < shards; ++s) {
-      members.push_back(std::make_unique<Shard>());
+      members.push_back(std::make_unique<Shard>(shard_loop));
       ropt.shard_ports.push_back(members.back()->port());
     }
-    ropt.port = 0;
     router = std::make_unique<shard::Router>(std::move(ropt));
     pump = std::thread([this] { router->run(); });
   }
@@ -172,23 +176,13 @@ std::string ring_submit(const std::string& id, int n, int seed) {
          "},\"k\":2,\"steps\":400,\"seed\":" + std::to_string(seed) + "}";
 }
 
-std::map<std::string, std::pair<std::vector<int>, double>> outcomes(
-    const std::vector<ClientResult>& results, bool must_succeed) {
-  std::map<std::string, std::pair<std::vector<int>, double>> out;
-  for (const ClientResult& r : results) {
-    if (must_succeed) {
-      EXPECT_TRUE(r.ok) << r.id << " failed [" << err_name(r.code)
-                        << "]: " << r.error;
-    }
-    if (!r.ok) continue;
-    const JsonValue event = JsonValue::parse(r.result_line);
-    std::vector<int> parts;
-    for (const auto& p : event.find("partition")->as_array()) {
-      parts.push_back(static_cast<int>(p.as_int()));
-    }
-    out[r.id] = {std::move(parts), event.find("value")->as_number()};
-  }
-  return out;
+/// Reads one line and returns its event name (or code, for errors).
+std::string next_event(LineReader& reader) {
+  std::string line;
+  if (!reader.next(line)) return "<closed>";
+  const JsonValue event = JsonValue::parse(line);
+  const std::string name = event.find("event")->as_string();
+  return name == "error" ? "error:" + event.find("code")->as_string() : name;
 }
 
 TEST(Router, RepeatSubmissionsStickToOneShardAndHitItsCache) {
@@ -198,11 +192,11 @@ TEST(Router, RepeatSubmissionsStickToOneShardAndHitItsCache) {
   // Same graph + spec under three ids, submitted ONE AT A TIME (so each
   // repeat finds the previous result already cached): one solve, two
   // cache hits — all on the SAME shard, or affinity is broken.
-  std::map<std::string, std::pair<std::vector<int>, double>> results;
+  Outcomes results;
   for (int i = 0; i < 3; ++i) {
     const std::string id = "a" + std::to_string(i);
     const auto one =
-        outcomes(client.run({ClientJob{id, ring_submit(id, 12, 5)}}), true);
+        outcomes(client.run({ClientJob{id, ring_submit(id, 12, 5)}}));
     results.insert(one.begin(), one.end());
   }
   ASSERT_EQ(results.size(), 3u);
@@ -224,30 +218,181 @@ TEST(Router, StatusOfUnroutedJobIsUnknownAndShutdownIsGated) {
   FdHandle conn = tcp_connect(fleet.port());
   LineReader reader(conn);
   reader.set_timeout_ms(10000);
-  std::string line;
 
   write_line(conn, R"({"op":"status","id":"ghost"})");
-  ASSERT_TRUE(reader.next(line));
-  EXPECT_EQ(JsonValue::parse(line).find("code")->as_string(), "unknown_job")
-      << line;
+  EXPECT_EQ(next_event(reader), "error:unknown_job");
 
   write_line(conn, R"({"op":"shutdown"})");
-  ASSERT_TRUE(reader.next(line));
-  EXPECT_EQ(JsonValue::parse(line).find("code")->as_string(), "forbidden")
-      << line;
+  EXPECT_EQ(next_event(reader), "error:forbidden");
 
   // migrate_elite is shard-to-shard gossip; the front door refuses it.
   write_line(conn,
              R"({"op":"migrate_elite","digest":"1f","k":2,"objective":"cut",)"
              R"("value":1.0,"assignment":[0,1]})");
-  ASSERT_TRUE(reader.next(line));
-  EXPECT_EQ(JsonValue::parse(line).find("event")->as_string(), "error")
-      << line;
+  EXPECT_EQ(next_event(reader), "error:bad_request");
 
   // ... and the connection survived all three refusals.
   write_line(conn, ring_submit("ok", 12, 5));
+  EXPECT_EQ(next_event(reader), "ack");
+}
+
+// A shard reaping the router's idle link sends a goodbye nobody asked
+// for: it closes that link quietly instead of answering the client's
+// next request, which redials.
+TEST(Router, StaleShardGoodbyeNeverAnswersTheNextRequest) {
+  EventLoopOptions shard_loop;
+  shard_loop.idle_timeout_ms = 200;
+  Fleet fleet(1, {}, shard_loop);
+  FdHandle conn = tcp_connect(fleet.port());
+  LineReader reader(conn);
+  reader.set_timeout_ms(10000);
+
+  write_line(conn, ring_submit("a", 12, 5));
+  EXPECT_EQ(next_event(reader), "ack");
+  write_line(conn, R"({"op":"result","id":"a"})");
+  EXPECT_EQ(next_event(reader), "result");
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+
+  write_line(conn, ring_submit("b", 12, 6));
+  EXPECT_EQ(next_event(reader), "ack");
+  write_line(conn, R"({"op":"result","id":"b"})");
+  EXPECT_EQ(next_event(reader), "result");
+}
+
+// Clients and shard links are loop connections: 256 open clients, each
+// with a job on a shard, add no threads.
+TEST(Router, ServesManyClientsWithoutAThreadEach) {
+  if (!testing::raise_fd_limit(4096)) {
+    GTEST_SKIP() << "RLIMIT_NOFILE cannot hold 4x256 sockets";
+  }
+  constexpr int kClients = 256;
+  Fleet fleet(2);
+  {
+    // Warm up: every thread the fleet starts lazily exists from here on.
+    ServiceClient client(fleet_client(fleet.port()));
+    ASSERT_TRUE(client.run({ClientJob{"w", ring_submit("w", 12, 5)}})[0].ok);
+  }
+  const int threads_before = testing::thread_count();
+
+  std::vector<FdHandle> conns;
+  conns.reserve(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    conns.push_back(tcp_connect(fleet.port()));
+    write_line(conns.back(), ring_submit("j", 10 + i % 8, 5), 10000);
+  }
+  for (const FdHandle& conn : conns) {
+    LineReader reader(conn);
+    reader.set_timeout_ms(20000);
+    EXPECT_EQ(next_event(reader), "ack");
+  }
+  EXPECT_LE(testing::thread_count(), threads_before)
+      << "the router grew threads with its client count";
+}
+
+TEST(Router, ShedsClientsBeyondMaxClients) {
+  shard::RouterOptions ropt;
+  ropt.loop.max_clients = 1;
+  ropt.loop.overload_retry_after_ms = 123;
+  Fleet fleet(1, ropt);
+
+  // Prove the holder's claim landed before dialing the next connection.
+  FdHandle holder = tcp_connect(fleet.port());
+  LineReader holder_reader(holder);
+  holder_reader.set_timeout_ms(5000);
+  write_line(holder, R"({"op":"status","id":"ghost"})");
+  ASSERT_EQ(next_event(holder_reader), "error:unknown_job");
+
+  FdHandle extra = tcp_connect(fleet.port());
+  LineReader reader(extra);
+  reader.set_timeout_ms(5000);
+  std::string line;
   ASSERT_TRUE(reader.next(line));
-  EXPECT_EQ(JsonValue::parse(line).find("event")->as_string(), "ack") << line;
+  const JsonValue event = JsonValue::parse(line);
+  EXPECT_EQ(event.find("code")->as_string(), "overloaded") << line;
+  EXPECT_EQ(event.find("retry_after_ms")->as_number(), 123.0) << line;
+  EXPECT_FALSE(reader.next(line));
+}
+
+TEST(Router, ReapsIdleClientsWithATimeoutGoodbye) {
+  shard::RouterOptions ropt;
+  ropt.loop.idle_timeout_ms = 200;
+  Fleet fleet(1, ropt);
+  FdHandle idle = tcp_connect(fleet.port());
+  LineReader reader(idle);
+  reader.set_timeout_ms(5000);
+  EXPECT_EQ(next_event(reader), "error:timeout");
+  EXPECT_EQ(next_event(reader), "<closed>");
+}
+
+/// A shard stand-in on a plain blocking socket: acks every submit,
+/// answers `result` with a partition of `entries` zeros and any other op
+/// with a status line.
+struct FakeShard {
+  explicit FakeShard(std::size_t entries)
+      : listener(tcp_listen(0, &port)),
+        thread([this, entries] { serve(entries); }) {}
+  ~FakeShard() {
+    shutdown_both(listener);  // wakes an accept nobody dialed
+    thread.join();
+  }
+
+  static std::string result_line(const std::string& id, std::size_t entries) {
+    std::string line = R"({"event":"result","id":")" + id +
+                       R"(","state":"done","value":1,"seconds":0,)"
+                       R"("partition":[0)";
+    line.reserve(line.size() + 2 * entries);
+    for (std::size_t i = 1; i < entries; ++i) line += ",0";
+    return line + "]}";
+  }
+
+  void serve(std::size_t entries) {
+    const FdHandle conn(::accept(listener.get(), nullptr, nullptr));
+    if (!conn.valid()) return;
+    LineReader reader(conn);
+    std::string line;
+    try {
+      while (reader.next(line)) {
+        const JsonValue request = JsonValue::parse(line);
+        const std::string op = request.find("op")->as_string();
+        const std::string id = request.find("id")->as_string();
+        write_line(conn, op == "submit"   ? format_ack(id)
+                         : op == "result" ? result_line(id, entries)
+                                          : R"({"event":"status","id":")" +
+                                                id + R"(","state":"done"})");
+      }
+    } catch (const std::exception&) {
+      // The router went away mid-line; nothing left to serve.
+    }
+  }
+
+  int port = 0;
+  FdHandle listener;
+  std::thread thread;
+};
+
+// A result line may exceed every request limit (here: more elements than
+// a request document may hold). The router relays it byte for byte and
+// the connection carries on.
+TEST(Router, RelaysResultsBeyondTheRequestLimitsIntact) {
+  constexpr std::size_t kEntries = (std::size_t{1} << 24) + 1;
+  FakeShard fake(kEntries);
+  shard::RouterOptions ropt;
+  ropt.shard_ports = {fake.port};
+  Fleet fleet(0, ropt);
+  FdHandle conn = tcp_connect(fleet.port());
+  LineReader reader(conn);
+  reader.set_timeout_ms(60000);
+
+  write_line(conn, ring_submit("big", 12, 5));
+  EXPECT_EQ(next_event(reader), "ack");
+  write_line(conn, R"({"op":"result","id":"big"})");
+  std::string line;
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_TRUE(line == FakeShard::result_line("big", kEntries))
+      << "relayed " << line.size() << " bytes: " << line.substr(0, 200);
+
+  write_line(conn, R"({"op":"status","id":"big"})");
+  EXPECT_EQ(next_event(reader), "status");
 }
 
 // ------------------------------------------------------------------------
@@ -381,12 +526,11 @@ std::vector<ClientJob> drill_jobs() {
 
 /// The fault-free reference: the same batch against one clean in-process
 /// shard (no router) — values and partitions are transport-independent.
-const std::map<std::string, std::pair<std::vector<int>, double>>&
-drill_reference() {
-  static const auto reference = [] {
+const Outcomes& drill_reference() {
+  static const Outcomes reference = [] {
     Shard solo;
     ServiceClient client(fleet_client(solo.port()));
-    auto out = outcomes(client.run(drill_jobs()), true);
+    auto out = outcomes(client.run(drill_jobs()));
     EXPECT_EQ(out.size(), 6u);
     return out;
   }();
@@ -418,12 +562,26 @@ TEST(RouterFailover, SigkilledShardMidBatchCostsRetriesNotResults) {
   a.sigkill();
   batch.join();
 
-  const auto survived = outcomes(results, true);
+  const auto survived = outcomes(results);
   EXPECT_EQ(survived, reference)
       << "failover changed bytes: determinism contract broken";
 
   router.request_stop();
   pump.join();
+}
+
+// Injected transport faults anywhere on the path — client, router, shard
+// links, shards (the injector is process-wide) — cost retries, not bytes.
+TEST(RouterFailover, InjectedConnectionDropsConvergeToTheReference) {
+  const auto& reference = drill_reference();
+  Fleet fleet(2);
+  fault::configure("conn_drop=1;seed=5;max_fires=3");
+  ServiceClient client(fleet_client(fleet.port()));
+  const auto results = outcomes(client.run(drill_jobs()));
+  const std::int64_t fired = fault::fires();
+  fault::configure("");
+  EXPECT_GT(fired, 0);
+  EXPECT_EQ(results, reference);
 }
 
 }  // namespace

@@ -36,15 +36,6 @@
 
 namespace {
 
-constexpr std::size_t kClientMaxLineBytes = 1u << 30;
-
-ffp::JsonLimits client_limits() {
-  ffp::JsonLimits limits;
-  limits.max_bytes = 1u << 30;
-  limits.max_elements = 1u << 30;
-  return limits;
-}
-
 std::string submit_line(const ffp::ArgParser& args, const std::string& id,
                         std::uint64_t seed) {
   std::string out = "{\"op\":\"submit\",\"id\":";
@@ -82,7 +73,7 @@ void write_result_partition(const std::string& result_line,
                             const std::string& id,
                             const std::string& out_path) {
   const ffp::JsonValue event =
-      ffp::JsonValue::parse(result_line, client_limits());
+      ffp::JsonValue::parse(result_line, ffp::response_json_limits());
   const ffp::JsonValue* partition = event.find("partition");
   if (partition == nullptr || !partition->is_array()) {
     throw ffp::Error("result event for '" + id + "' has no partition");
@@ -113,7 +104,7 @@ int run_script(const ffp::FdHandle& conn, ffp::LineReader& reader,
   // script) both sides would wait on each other forever.
   ffp::shutdown_write(conn);
   std::string reply;
-  while (sent > 0 && reader.next(reply, kClientMaxLineBytes)) {
+  while (sent > 0 && reader.next(reply)) {
     std::printf("%s\n", reply.c_str());
   }
   return 0;
@@ -237,7 +228,7 @@ int main(int argc, char** argv) {
         }
         ffp::write_line(conn, "{\"op\":\"shutdown\"}");
         std::string line;
-        while (reader.next(line, kClientMaxLineBytes)) {
+        while (reader.next(line)) {
           std::printf("%s\n", line.c_str());
         }
       } catch (const ffp::Error& e) {

@@ -6,7 +6,8 @@
 // every request to one of the backend shards, chosen by graph digest on a
 // consistent-hash ring — repeat traffic on a graph always lands on the
 // same shard, so that shard's result cache and elite archive stay hot.
-// Responses relay verbatim; the router holds no solver state.
+// Responses relay verbatim; the router holds no solver state. Clients and
+// shard links alike are served by one epoll thread (src/net/event_loop.hpp).
 //
 // Failover: a shard that refuses or drops connections is cooled down for
 // --down-cooldown-ms and submissions fail over along the ring; ops pinned
@@ -15,34 +16,12 @@
 // src/shard/router.hpp for the full failure story.
 #include <csignal>
 #include <cstdio>
-#include <string>
-#include <vector>
 
+#include "service/net.hpp"
 #include "shard/router.hpp"
 #include "util/args.hpp"
-#include "util/strings.hpp"
 
 namespace {
-
-std::vector<int> parse_ports(const std::string& csv) {
-  std::vector<int> ports;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    const std::string_view piece =
-        ffp::trim(std::string_view(csv).substr(start, comma - start));
-    if (!piece.empty()) {
-      const auto port = ffp::parse_int(piece);
-      FFP_CHECK(port.has_value() && *port >= 1 && *port <= 65535,
-                "--shards entries must be ports (1..65535), got '",
-                std::string(piece), "'");
-      ports.push_back(static_cast<int>(*port));
-    }
-    start = comma + 1;
-  }
-  return ports;
-}
 
 ffp::shard::Router* g_router = nullptr;
 
@@ -85,20 +64,20 @@ int main(int argc, char** argv) {
     const std::int64_t listen = args.get_int("listen");
     FFP_CHECK(listen >= 0 && listen <= 65535,
               "--listen must be a port number (0..65535)");
-    options.port = static_cast<int>(listen);
-    options.shard_ports = parse_ports(args.get("shards"));
+    options.loop.port = static_cast<int>(listen);
+    options.shard_ports = ffp::parse_ports(args.get("shards"), "--shards");
     FFP_CHECK(!options.shard_ports.empty(),
               "--shards needs at least one backend port");
     const std::int64_t max_clients = args.get_int("max-clients");
     FFP_CHECK(max_clients >= 1 && max_clients <= 4096,
               "--max-clients must be in [1, 4096]");
-    options.max_clients = static_cast<unsigned>(max_clients);
+    options.loop.max_clients = static_cast<unsigned>(max_clients);
     const std::int64_t idle_ms = args.get_int("idle-timeout-ms");
     FFP_CHECK(idle_ms >= 0, "--idle-timeout-ms must be >= 0 (0 = never)");
-    options.idle_timeout_ms = static_cast<double>(idle_ms);
+    options.loop.idle_timeout_ms = static_cast<double>(idle_ms);
     const std::int64_t write_ms = args.get_int("write-timeout-ms");
     FFP_CHECK(write_ms >= 0, "--write-timeout-ms must be >= 0");
-    options.write_timeout_ms = static_cast<double>(write_ms);
+    options.loop.write_timeout_ms = static_cast<double>(write_ms);
     const std::int64_t io_ms = args.get_int("io-timeout-ms");
     FFP_CHECK(io_ms >= 0, "--io-timeout-ms must be >= 0 (0 = unbounded)");
     options.backend_io_timeout_ms = static_cast<double>(io_ms);

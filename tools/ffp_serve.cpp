@@ -9,9 +9,11 @@
 // session over stdin/stdout — the zero-config mode scripts and tests pipe
 // into. With --listen it binds 127.0.0.1:<port> (0 picks an ephemeral
 // port, printed on stderr) and serves up to --max-clients connections
-// CONCURRENTLY, thread-per-connection, every session submitting into one
-// shared ServiceHost — one JobScheduler, one ThreadBudget, one result
-// cache — until SIGTERM/SIGINT or an authorized {"op":"shutdown"}.
+// CONCURRENTLY on one epoll thread (src/net/event_loop.hpp), every session
+// submitting into one shared ServiceHost — one JobScheduler, one
+// ThreadBudget, one result cache — until SIGTERM/SIGINT or an authorized
+// {"op":"shutdown"}. --event-loop is accepted and ignored: the loop is the
+// only TCP transport.
 //
 // Concurrency model: --runners jobs execute at once across ALL clients,
 // and every solve leases its workers from the process-wide ThreadBudget
@@ -23,12 +25,12 @@
 // --max-vertices/--max-edges, and --no-files restricts submissions to
 // inline graphs.
 //
-// Failure hardening (service/server.hpp has the machinery):
+// Failure hardening (net/event_loop.hpp has the machinery):
 //   * connections beyond --max-clients are told "overloaded" (with a
 //     retry-after hint) and closed immediately — never queued;
 //   * more than --max-queued waiting jobs shed submits the same way;
-//   * a connection idle past --idle-timeout-ms is reaped, so a silent
-//     client cannot hold a slot;
+//   * a connection idle past --idle-timeout-ms, and owed no reply, is
+//     reaped, so a silent client cannot hold a slot;
 //   * every response write is bounded by --write-timeout-ms;
 //   * SIGTERM/SIGINT drain gracefully: stop accepting, cancel queued
 //     jobs, let running jobs finish with best-so-far semantics;
@@ -36,11 +38,9 @@
 //     was started with --allow-remote-shutdown (pipe mode — the
 //     operator's own terminal — always honors it).
 //
-// Scale-out: --event-loop swaps thread-per-connection for one epoll
-// thread (src/net/event_loop.hpp) so --max-clients can go to the
-// thousands with a bounded thread count; --peers lists sibling shard
-// ports and turns on periodic elite migration (src/shard/migrate.hpp).
-// Both speak the identical wire protocol with identical results.
+// Scale-out: connections cost no threads, so --max-clients can go to the
+// thousands; --peers lists sibling shard ports and turns on periodic elite
+// migration (src/shard/migrate.hpp).
 #include <csignal>
 #include <cstdio>
 #include <iostream>
@@ -49,7 +49,6 @@
 #include <vector>
 
 #include "net/event_loop.hpp"
-#include "service/server.hpp"
 #include "service/service.hpp"
 #include "service/thread_budget.hpp"
 #include "shard/migrate.hpp"
@@ -57,27 +56,6 @@
 #include "util/strings.hpp"
 
 namespace {
-
-/// "17917,17918" -> ports. Used by --peers.
-std::vector<int> parse_ports(const std::string& csv) {
-  std::vector<int> ports;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    const std::string_view piece =
-        ffp::trim(std::string_view(csv).substr(start, comma - start));
-    if (!piece.empty()) {
-      const auto port = ffp::parse_int(piece);
-      FFP_CHECK(port.has_value() && *port >= 1 && *port <= 65535,
-                "--peers entries must be ports (1..65535), got '",
-                std::string(piece), "'");
-      ports.push_back(static_cast<int>(*port));
-    }
-    start = comma + 1;
-  }
-  return ports;
-}
 
 ffp::ServiceOptions host_options(const ffp::ArgParser& args) {
   ffp::ServiceOptions options;
@@ -123,22 +101,20 @@ void serve_stdio(const ffp::ArgParser& args) {
   session.drain();
 }
 
-/// The signal path: SIGTERM/SIGINT write one byte down the server's
-/// self-pipe / eventfd (both async-signal-safe) and the serving loop
-/// drains. Exactly one of the two pointers is set at a time.
-ffp::TcpServer* g_server = nullptr;
-ffp::EventLoopServer* g_loop_server = nullptr;
+/// The signal path: SIGTERM/SIGINT signal the server's eventfd
+/// (async-signal-safe) and the serving loop drains.
+ffp::EventLoopServer* g_server = nullptr;
 
 extern "C" void on_stop_signal(int) {
   if (g_server != nullptr) g_server->request_stop();
-  if (g_loop_server != nullptr) g_loop_server->request_stop();
 }
 
-/// Inter-shard elite migration rides along either server type: a nullptr
-/// when --peers is empty, a running EliteMigrator otherwise.
+/// Inter-shard elite migration rides along the server: a nullptr when
+/// --peers is empty, a running EliteMigrator otherwise.
 std::unique_ptr<ffp::shard::EliteMigrator> make_migrator(
     const ffp::ArgParser& args, ffp::ServiceHost& host) {
-  const std::vector<int> peers = parse_ports(args.get("peers"));
+  const std::vector<int> peers =
+      ffp::parse_ports(args.get("peers"), "--peers");
   if (peers.empty()) return nullptr;
   const std::int64_t period = args.get_int("migrate-every-ms");
   FFP_CHECK(period >= 1, "--migrate-every-ms must be >= 1");
@@ -170,47 +146,29 @@ int serve_tcp(const ffp::ArgParser& args, int port) {
 
   std::signal(SIGPIPE, SIG_IGN);  // torn peers surface as EPIPE, not death
 
-  if (args.get_bool("event-loop")) {
-    ffp::EventLoopOptions options;
-    options.port = port;
-    options.max_clients = static_cast<unsigned>(max_clients);
-    options.idle_timeout_ms = static_cast<double>(idle_ms);
-    options.write_timeout_ms = static_cast<double>(write_ms);
-    options.session.allow_shutdown = args.get_bool("allow-remote-shutdown");
-    ffp::EventLoopServer server(host, options);
+  ffp::EventLoopOptions options;
+  options.port = port;
+  options.max_clients = static_cast<unsigned>(max_clients);
+  options.idle_timeout_ms = static_cast<double>(idle_ms);
+  options.write_timeout_ms = static_cast<double>(write_ms);
+  ffp::SessionPolicy policy;
+  policy.allow_shutdown = args.get_bool("allow-remote-shutdown");
+  ffp::EventLoopServer server(host.serve_stats(), options,
+                              ffp::serve_sessions(host, policy));
 
-    g_loop_server = &server;
-    std::signal(SIGTERM, on_stop_signal);
-    std::signal(SIGINT, on_stop_signal);
-    std::fprintf(stderr,
-                 "ffp_serve: listening on 127.0.0.1:%d (event loop, up to "
-                 "%lld concurrent clients%s)\n",
-                 server.port(), static_cast<long long>(max_clients),
-                 options.session.allow_shutdown ? ", remote shutdown allowed"
-                                                : "");
-    server.run();
-    g_loop_server = nullptr;
-  } else {
-    ffp::TcpServerOptions options;
-    options.port = port;
-    options.max_clients = static_cast<unsigned>(max_clients);
-    options.idle_timeout_ms = static_cast<double>(idle_ms);
-    options.write_timeout_ms = static_cast<double>(write_ms);
-    options.session.allow_shutdown = args.get_bool("allow-remote-shutdown");
-    ffp::TcpServer server(host, options);
-
-    g_server = &server;
-    std::signal(SIGTERM, on_stop_signal);
-    std::signal(SIGINT, on_stop_signal);
-    std::fprintf(stderr,
-                 "ffp_serve: listening on 127.0.0.1:%d (up to %lld "
-                 "concurrent clients%s)\n",
-                 server.port(), static_cast<long long>(max_clients),
-                 options.session.allow_shutdown ? ", remote shutdown allowed"
-                                                : "");
-    server.run();
-    g_server = nullptr;
-  }
+  g_server = &server;
+  std::signal(SIGTERM, on_stop_signal);
+  std::signal(SIGINT, on_stop_signal);
+  std::fprintf(stderr,
+               "ffp_serve: listening on 127.0.0.1:%d (up to %lld concurrent "
+               "clients%s)\n",
+               server.port(), static_cast<long long>(max_clients),
+               policy.allow_shutdown ? ", remote shutdown allowed" : "");
+  server.run();
+  g_server = nullptr;
+  // Queued jobs are cancelled, running jobs finish (early, with
+  // best-so-far, when their session's teardown cancelled them).
+  host.engine().scheduler().shutdown();
   std::fprintf(stderr, "ffp_serve: drained, exiting\n");
   return 0;
 }
@@ -246,9 +204,8 @@ int main(int argc, char** argv) {
       .flag("peers", "", "comma-separated peer shard ports; best elites "
                          "migrate to them every --migrate-every-ms")
       .flag("migrate-every-ms", "1000", "elite-migration tick interval")
-      .toggle("event-loop", "serve all connections on one epoll thread "
-                            "instead of thread-per-connection (--listen "
-                            "mode; identical wire protocol and results)")
+      .toggle("event-loop", "accepted and ignored: --listen always serves "
+                            "every connection on one epoll thread")
       .toggle("stream", "stream progress events as improvements happen")
       .toggle("no-files", "reject graph_file submissions (inline graphs only)")
       .toggle("allow-remote-shutdown",
