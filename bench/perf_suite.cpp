@@ -106,10 +106,9 @@ constexpr Family kFamilies[] = {
 };
 
 std::string point_name(const char* metric, const char* family, VertexId n,
-                       int k = -1, int threads = -1) {
+                       int k = -1) {
   std::string out = std::string(metric) + "/" + family + "/n" + std::to_string(n);
   if (k >= 0) out += "/k" + std::to_string(k);
-  if (threads >= 0) out += "/t" + std::to_string(threads);
   return out;
 }
 
@@ -286,86 +285,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --------------------------------------- batched engine: threads axis ---
-  // End-to-end batched fusion-fission solves across worker counts — the
-  // intra-run parallel engine, as opposed to the between-restart portfolio.
-  // The suite also *verifies* the engine's determinism contract: every
-  // thread count must produce the byte-identical partition, so the recorded
-  // per-thread Mcut rows are equal by construction.
-  {
-    struct Point {
-      const char* family;
-      int n, k;
-      std::int64_t steps;
-    };
-    const std::vector<Point> points =
-        quick ? std::vector<Point>{{"grid", 1024, 32, 3000}}
-              : std::vector<Point>{{"grid", 16384, 64, 20000},
-                                   {"geometric", 16384, 64, 6000}};
-    const std::vector<int> thread_counts =
-        quick ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
-    for (const auto& pt : points) {
-      const Family* family = nullptr;
-      for (const auto& f : kFamilies) {
-        if (std::string_view(f.name) == pt.family) family = &f;
-      }
-      FFP_CHECK(family != nullptr, "unknown family '", pt.family,
-                "' in the threads-axis point table");
-      const Graph g = family->make(pt.n, seed);
-      std::vector<int> reference;
-      for (const int threads : thread_counts) {
-        FusionFissionOptions opt;
-        opt.seed = seed;
-        opt.threads = threads;
-        FusionFission ff(g, pt.k, opt);
-        double best_value = 0.0;
-        const double sec = best_seconds([&] {
-          auto res = ff.run(StopCondition::after_steps(pt.steps));
-          best_value = res.best_value;
-          if (reference.empty()) {
-            reference.assign(res.best.assignment().begin(),
-                             res.best.assignment().end());
-          } else {
-            for (VertexId v = 0; v < g.num_vertices(); ++v) {
-              FFP_CHECK(reference[static_cast<std::size_t>(v)] ==
-                            res.best.assignment()[static_cast<std::size_t>(v)],
-                        "batched engine not deterministic across thread "
-                        "counts at t=", threads, " vertex ", v);
-            }
-          }
-        });
-        record(point_name("ff_e2e_sec", pt.family, g.num_vertices(), pt.k,
-                          threads),
-               sec, "s");
-        record(point_name("ff_e2e_mcut", pt.family, g.num_vertices(), pt.k,
-                          threads),
-               best_value, "obj");
-      }
-    }
-  }
-
   // ------------------------------- multilevel×fusion-fission hybrid ------
   // mlff_e2e_*: the coarsen→FF→project+refine pipeline at the sizes pure
   // fusion-fission cannot touch, plus a coarsen_sec axis for the coarsening
   // stage alone. At the n=262144 comparison point the suite also records a
   // pure fusion-fission row under the same step budget — the headline
   // speedup claim (mlff equal-or-better Mcut in a fraction of the wall
-  // time) is read directly off these four rows. Points with a threads axis
-  // additionally FFP_CHECK the determinism contract: threads=1 and
-  // threads=4 must produce the byte-identical partition.
+  // time) is read directly off these four rows.
   {
     struct Point {
       const char* family;
       int n, k;
       std::int64_t steps;
-      bool check_threads;  // run t=1 and t=4, verify identical partitions
-      bool ff_baseline;    // also time pure serial fusion-fission
+      bool ff_baseline;  // also time pure fusion-fission
     };
     const std::vector<Point> points =
-        quick ? std::vector<Point>{{"grid", 262144, 64, 4000, true, false}}
-              : std::vector<Point>{{"grid", 16384, 64, 20000, true, false},
-                                   {"grid", 262144, 64, 20000, true, true},
-                                   {"grid", 1000000, 64, 20000, false, false}};
+        quick ? std::vector<Point>{{"grid", 262144, 64, 4000, false}}
+              : std::vector<Point>{{"grid", 16384, 64, 20000, false},
+                                   {"grid", 262144, 64, 20000, true},
+                                   {"grid", 1000000, 64, 20000, false}};
     for (const auto& pt : points) {
       const Family* family = nullptr;
       for (const auto& f : kFamilies) {
@@ -391,34 +329,18 @@ int main(int argc, char** argv) {
                "s");
       }
 
-      std::vector<int> reference;
-      for (const int threads : pt.check_threads ? std::vector<int>{1, 4}
-                                                : std::vector<int>{1}) {
+      {
         MlffOptions opt;
         opt.seed = seed;
-        opt.threads = threads;
         double best_value = 0.0;
         const double sec = measure([&] {
-          auto res = mlff_partition(g, pt.k, opt,
-                                    StopCondition::after_steps(pt.steps));
-          best_value = res.best_value;
-          if (reference.empty()) {
-            reference.assign(res.best.assignment().begin(),
-                             res.best.assignment().end());
-          } else {
-            for (VertexId v = 0; v < g.num_vertices(); ++v) {
-              FFP_CHECK(reference[static_cast<std::size_t>(v)] ==
-                            res.best.assignment()[static_cast<std::size_t>(v)],
-                        "mlff not deterministic across thread counts at t=",
-                        threads, " vertex ", v);
-            }
-          }
+          best_value = mlff_partition(g, pt.k, opt,
+                                      StopCondition::after_steps(pt.steps))
+                           .best_value;
         });
-        record(point_name("mlff_e2e_sec", pt.family, g.num_vertices(), pt.k,
-                          threads),
+        record(point_name("mlff_e2e_sec", pt.family, g.num_vertices(), pt.k),
                sec, "s");
-        record(point_name("mlff_e2e_mcut", pt.family, g.num_vertices(), pt.k,
-                          threads),
+        record(point_name("mlff_e2e_mcut", pt.family, g.num_vertices(), pt.k),
                best_value, "obj");
       }
 
@@ -532,7 +454,6 @@ int main(int argc, char** argv) {
         spec.k = 16;
         spec.seed = seed + static_cast<std::uint64_t>(i);
         spec.steps = steps;
-        spec.threads = 2;
         engine.submit(problem, spec);
       }
       engine.drain();

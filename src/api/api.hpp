@@ -11,9 +11,9 @@
 //
 // Problem      — graph from file / inline CSR / named generator, validated
 //                through the hardened io limits, content-digested.
-// SolveSpec    — registry method spec + k/objective/seed/budget/restarts/
-//                threads; one struct instead of SolverRequest +
-//                PortfolioRunner wiring at every call site.
+// SolveSpec    — registry method spec + k/objective/seed/budget/restarts;
+//                one struct instead of SolverRequest + PortfolioRunner
+//                wiring at every call site.
 // Engine       — async submit/solve over the service JobScheduler and the
 //                process ThreadBudget, with an LRU result cache riding on
 //                deterministic solves.

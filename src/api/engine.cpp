@@ -349,7 +349,6 @@ SolveHandle Engine::submit(const Problem& problem, const SolveSpec& spec,
   job.steps = resolved.steps;
   job.budget_ms = spec.budget_ms;
   job.priority = spec.priority;
-  job.threads = spec.threads;
   job.restarts = spec.restarts;
   job.queue_ttl_ms = spec.queue_ttl_ms;
 
@@ -478,7 +477,6 @@ std::string Engine::build_payload(const std::string& graph_source,
   p += "steps=" + std::to_string(resolved.steps) + "\n";
   p += format("budget_ms=%.17g\n", spec.budget_ms);
   p += "restarts=" + std::to_string(spec.restarts) + "\n";
-  p += "threads=" + std::to_string(spec.threads) + "\n";
   p += "priority=" + std::to_string(spec.priority) + "\n";
   p += format("queue_ttl_ms=%.17g\n", spec.queue_ttl_ms);
   p += "checkpoint_every_ms=" + std::to_string(spec.checkpoint_every_ms) +
@@ -508,8 +506,8 @@ void Engine::recover() {
       spec.steps = std::stoll(payload_field(f, "steps"));
       spec.budget_ms = std::stod(payload_field(f, "budget_ms"));
       spec.restarts = std::stoi(payload_field(f, "restarts"));
-      spec.threads =
-          static_cast<unsigned>(std::stoul(payload_field(f, "threads")));
+      // Older journals also carry a threads= line, the want of a removed
+      // intra-run engine; it is ignored and the job replays serially.
       spec.priority = std::stoi(payload_field(f, "priority"));
       // Deliberately NOT restored: queue_ttl_ms. The original caller's
       // deadline died with the original process; the resubmission runs to

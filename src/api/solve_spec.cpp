@@ -16,9 +16,7 @@ ResolvedSpec SolveSpec::resolve() const {
   out.metaheuristic = out.solver->is_metaheuristic();
   out.canonical_method = SolverRegistry::canonical_join(name, options);
   out.steps = steps;
-  if (out.steps == 0 && out.metaheuristic &&
-      (restarts > 1 || threads > 0 || options.get_int("threads", 0) > 0 ||
-       options.get_int("batch", 0) > 0)) {
+  if (out.steps == 0 && out.metaheuristic && restarts > 1) {
     out.steps = static_cast<std::int64_t>(budget_ms * kStepsPerMs);
   }
   // Direct (non-metaheuristic) solvers ignore the stop condition entirely:
@@ -42,9 +40,6 @@ std::string SolveSpec::checkpoint_key(const ResolvedSpec& resolved) const {
   key += "|seed=" + std::to_string(seed);
   key += "|steps=" + std::to_string(resolved.steps);
   key += "|restarts=" + std::to_string(restarts);
-  // threads>0 selects the batched engine (results identical at ANY positive
-  // count, but not necessarily to the serial engine's).
-  key += threads > 0 ? "|engine=batched" : "|engine=default";
   return key;
 }
 

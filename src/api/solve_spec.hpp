@@ -1,16 +1,16 @@
 // api::SolveSpec — everything that identifies ONE solve besides the graph:
 // registry method spec, k, objective, seed, budget (deterministic steps or
-// wall clock), portfolio restarts, intra-run thread want, and queue
-// priority. This struct replaces the raw SolverRequest + PortfolioRunner
-// wiring every tool, bench and example used to carry: the facade maps it
-// onto a service JobSpec, so the CLI, the daemon, and embedded callers all
-// run the identical pipeline.
+// wall clock), portfolio restarts, and queue priority. This struct
+// replaces the raw SolverRequest + PortfolioRunner wiring every tool,
+// bench and example used to carry: the facade maps it onto a service
+// JobSpec, so the CLI, the daemon, and embedded callers all run the
+// identical pipeline.
 //
 // Determinism is part of the spec, not the call site: resolved_steps()
 // holds the ONE copy of the old ffp_part rule — whenever parallelism is in
-// play (restarts, a thread want, or a threads=/batch= key inside the
-// method spec) a metaheuristic's wall clock is replaced by a step budget
-// derived from budget_ms, so the partition can never depend on scheduling.
+// play (restarts > 1) a metaheuristic's wall clock is replaced by a step
+// budget derived from budget_ms, so the partition can never depend on
+// scheduling.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +42,8 @@ struct SolveSpec {
   /// clock (which forfeits byte-identical results, exactly like the CLI).
   std::int64_t steps = 0;
   double budget_ms = 5000;
-  int restarts = 1;      ///< portfolio multi-start; 1 = single run
-  unsigned threads = 0;  ///< intra-run worker want, leased from the budget
-  int priority = 0;      ///< scheduler priority; higher runs first
+  int restarts = 1;  ///< portfolio multi-start; 1 = single run
+  int priority = 0;  ///< scheduler priority; higher runs first
   /// Queue TTL: if no runner picked the solve up within this many ms it
   /// expires with a structured QueueExpired error instead of running after
   /// its caller gave up. 0 = no TTL. Like priority, this shapes WHEN work
@@ -79,8 +78,7 @@ struct SolveSpec {
   /// construction, reused all the way into the scheduler): the solver
   /// itself, the canonical method, the effective step budget per THE
   /// determinism rule — `steps` when set, else budget_ms * kStepsPerMs
-  /// when the spec asks for any parallelism (restarts, a thread want, or
-  /// threads=/batch= keys inside `method`) and the method is a
+  /// when the spec asks for restarts > 1 and the method is a
   /// metaheuristic, else 0 (wall clock) — and the determinism verdict.
   /// Throws ffp::Error on specs that do not resolve.
   ResolvedSpec resolve() const;
@@ -91,11 +89,9 @@ struct SolveSpec {
   std::string canonical_method() const { return resolve().canonical_method; }
 
   /// The spec half of the result-cache key: canonical method plus every
-  /// field that can change the partition. Threads and priority are
+  /// field that can change the partition. Priority and queue TTL are
   /// deliberately absent — the engine's determinism contract makes results
-  /// independent of where and when the work ran — but the serial-vs-batched
-  /// engine choice (threads == 0 vs > 0) is included, because a thread
-  /// want selects a different (equally deterministic) engine schedule.
+  /// independent of where and when the work ran.
   /// Returns "" when the spec is not deterministic (never cacheable), and
   /// when warm_start or evolve is set (the result then depends on the
   /// on-disk checkpoint / the elite archive, which are outside the key).

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <tuple>
 
-#include "core/batch_scheduler.hpp"
 #include "metaheuristics/percolation.hpp"
 #include "partition/objective_terms.hpp"
 #include "partition/part_scratch.hpp"
-#include "solver/worker_pool.hpp"  // leased_worker_pool (budget-governed runs)
 #include "util/check.hpp"
 
 namespace ffp {
@@ -44,10 +41,6 @@ struct FusionFission::State {
   /// record note_partition keeps without a map lookup in the hot loop; run()
   /// converts it into FusionFissionResult::best_by_part_count at the end.
   std::vector<double> best_by_p;
-  /// Batched commit phase only: every part a committed operation mutates is
-  /// marked here so later slots can detect stale speculation. Null outside
-  /// the commit phase (serial mode pays one predictable branch per bulk op).
-  PartMarkScratch* dirty = nullptr;
   // Checkpoint pump (options.checkpoint_sink): armed once in run(), so
   // the disabled path is a single branch in the hot loops.
   bool ckpt_on = false;
@@ -62,13 +55,6 @@ struct FusionFission::State {
         rng(seed) {}
 
   const Partition& cur() const { return tracker.partition(); }
-
-  void touch(int part) {
-    if (dirty != nullptr) {
-      dirty->grow(cur().num_parts());
-      dirty->mark(part);
-    }
-  }
 };
 
 FusionFission::FusionFission(const Graph& g, int k,
@@ -106,9 +92,8 @@ std::pair<int, Weight> FusionFission::select_fusion_partner(
   // §4.2: "a second partition is selected according to its size, its
   // distance to the first one, and temperature". Connection weight is the
   // inverse distance; the size preference cools with temperature: hot → big
-  // merged atoms are easy, cold → strongly size-penalized. Const +
-  // thread_local scratch: the batched engine's workers score candidates
-  // concurrently against the frozen molecule.
+  // merged atoms are easy, cold → strongly size-penalized. The scratch is
+  // thread_local because concurrent portfolio restarts each run an engine.
   static thread_local std::vector<std::pair<int, Weight>> conns;
   conns.clear();
   cur.connections(atom, conns);
@@ -225,18 +210,17 @@ int FusionFission::absorb_nucleon(State& s, VertexId v) {
   }
   if (best != -1 && s.cur().part_size(from) > 1) {
     s.tracker.move(v, best);
-    s.touch(from);
-    s.touch(best);
     ++s.result->ejections;
   }
   return best;
 }
 
-void FusionFission::plan_split(std::span<const VertexId> members,
-                               bool allow_percolation, Rng& rng,
-                               std::vector<VertexId>& moved) const {
+void FusionFission::split_atom(State& s, int atom, Rng& rng) {
+  const auto members = s.cur().members(atom);
+  if (members.size() < 2) return;
+
   static thread_local std::vector<int> side;
-  if (allow_percolation && options_.percolation_fission) {
+  if (options_.percolation_fission) {
     percolation_bisect_into(*g_, members, rng, side);
   } else {
     // Ablation / fallback: random halving.
@@ -247,29 +231,14 @@ void FusionFission::plan_split(std::span<const VertexId> members,
     rng.shuffle(side);
   }
   // Keep the smaller half as the side to relocate (both halves' statistics
-  // are rebuilt from the same arc scan either way). An empty result means
-  // percolation labeled everything one side (pathological subgraph); the
-  // applier forces a single-vertex split.
+  // are rebuilt from the same arc scan either way).
   const auto ones = static_cast<std::size_t>(
       std::count(side.begin(), side.end(), 1));
   const int move_label = 2 * ones > members.size() ? 0 : 1;
+  static thread_local std::vector<VertexId> moved;
   moved.clear();
   for (std::size_t i = 0; i < members.size(); ++i) {
     if (side[i] == move_label) moved.push_back(members[i]);
-  }
-}
-
-void FusionFission::split_atom(State& s, int atom, bool allow_percolation,
-                               Rng& rng, const FissionPlan* plan) {
-  const auto members = s.cur().members(atom);
-  if (members.size() < 2) return;
-
-  static thread_local std::vector<VertexId> planned;
-  const std::vector<VertexId>* moved = &planned;
-  if (plan != nullptr) {
-    moved = &plan->moved;
-  } else {
-    plan_split(members, allow_percolation, rng, planned);
   }
 
   // Find a part slot for the new half (reuse an empty slot if any).
@@ -282,45 +251,32 @@ void FusionFission::split_atom(State& s, int atom, bool allow_percolation,
   }
   if (fresh == -1) fresh = s.tracker.make_part();
 
-  if (moved->empty()) {
+  if (moved.empty()) {
     // Percolation labeled everything one side (pathological subgraph):
     // force a non-trivial split.
     s.tracker.move(members.back(), fresh);
   } else {
-    // The minority-side choice in plan_split caps |moved| at half the atom,
-    // so this is always a proper subset.
-    FFP_DCHECK(moved->size() < members.size());
-    s.tracker.split_part(atom, fresh, *moved);
+    // The minority-side choice above caps |moved| at half the atom, so
+    // this is always a proper subset.
+    FFP_DCHECK(moved.size() < members.size());
+    s.tracker.split_part(atom, fresh, moved);
   }
-  s.touch(atom);
-  s.touch(fresh);
-}
-
-void FusionFission::simple_fission(State& s, int atom, Rng& rng) {
-  split_atom(s, atom, /*allow_percolation=*/true, rng, nullptr);
 }
 
 // ---------------------------------------------------------------------------
 // Algorithm 1 branches
 // ---------------------------------------------------------------------------
 
-void FusionFission::do_fusion(State& s, int atom, Rng& rng,
-                              const FusionPlan* plan) {
-  int partner = -1;
-  Weight w_conn = 0.0;
-  if (plan != nullptr) {
-    partner = plan->partner;
-    w_conn = plan->w_conn;
-  } else {
-    // Algorithm 2 (init) keeps the full size penalty (heat 0): at tmax the
-    // penalty vanishes and on skewed degree distributions hub atoms then win
-    // every connection-weighted pick, growing one giant atom — which turns
-    // the ejection / connection scans quadratic and keeps the atom count
-    // from ever reaching k ("fusion-biased" must still mean balanced
-    // growth). Measured on powerlaw n=16384: init 1.47s → 0.06s.
-    const double heat = s.init_mode ? 0.0 : heat_of(s.temperature);
-    std::tie(partner, w_conn) = select_fusion_partner(s.cur(), heat, atom, rng);
-  }
+void FusionFission::do_fusion(State& s, int atom, Rng& rng) {
+  // Algorithm 2 (init) keeps the full size penalty (heat 0): at tmax the
+  // penalty vanishes and on skewed degree distributions hub atoms then win
+  // every connection-weighted pick, growing one giant atom — which turns
+  // the ejection / connection scans quadratic and keeps the atom count
+  // from ever reaching k ("fusion-biased" must still mean balanced
+  // growth). Measured on powerlaw n=16384: init 1.47s → 0.06s.
+  const double heat = s.init_mode ? 0.0 : heat_of(s.temperature);
+  const auto [partner, w_conn] =
+      select_fusion_partner(s.cur(), heat, atom, rng);
   if (partner == -1) return;  // isolated atom; nothing to fuse with
   ++s.result->fusions;
 
@@ -330,8 +286,6 @@ void FusionFission::do_fusion(State& s, int atom, Rng& rng,
   if (s.cur().part_size(src) > s.cur().part_size(dst)) std::swap(src, dst);
   const int merged_size = s.cur().part_size(src) + s.cur().part_size(dst);
   s.tracker.merge_parts(src, dst, w_conn);
-  s.touch(src);
-  s.touch(dst);
 
   // The fusion law for the merged size may eject nucleons.
   const int size_for_law = std::min(merged_size, s.laws.max_atom_size());
@@ -348,14 +302,13 @@ void FusionFission::do_fusion(State& s, int atom, Rng& rng,
   }
 }
 
-void FusionFission::do_fission(State& s, int atom, Rng& rng,
-                               const FissionPlan* plan) {
+void FusionFission::do_fission(State& s, int atom, Rng& rng) {
   if (s.cur().part_size(atom) < 2) return;
   ++s.result->fissions;
 
   const int size_for_law =
       std::min(s.cur().part_size(atom), s.laws.max_atom_size());
-  split_atom(s, atom, /*allow_percolation=*/true, rng, plan);
+  split_atom(s, atom, rng);
 
   const int eject =
       options_.use_laws ? s.laws.sample(LawKind::Fission, size_for_law, rng) : 0;
@@ -367,7 +320,7 @@ void FusionFission::do_fission(State& s, int atom, Rng& rng,
     if (!s.init_mode && rng.bernoulli(heat)) {
       const int neighbor_atom = absorb_nucleon(s, v);
       if (neighbor_atom != -1 && s.cur().part_size(neighbor_atom) >= 2) {
-        simple_fission(s, neighbor_atom, rng);
+        split_atom(s, neighbor_atom, rng);  // nfission: no ejection
       }
     } else {
       absorb_nucleon(s, v);
@@ -378,223 +331,6 @@ void FusionFission::do_fission(State& s, int atom, Rng& rng,
     const double before = s.current_energy;
     const double after = energy_now(s);
     s.laws.update(LawKind::Fission, size_for_law, eject, after < before);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Main loops: the classic serial schedule, and the batched parallel engine
-// (select → speculate → commit; see the header comment).
-// ---------------------------------------------------------------------------
-
-void FusionFission::run_serial(State& s, const StopCondition& stop,
-                               AnytimeRecorder* recorder) {
-  const double t_step =
-      (options_.tmax - options_.tmin) / static_cast<double>(options_.nbt);
-
-  std::int64_t steps = 0;
-  while (!stop.done(steps)) {
-    ++steps;
-    step(s);
-    note_partition(s, recorder);
-    // Clock reads amortized to every 64th step; emits are rarer still.
-    if (s.ckpt_on && (steps & 63) == 0) maybe_checkpoint(s);
-
-    s.temperature -= t_step;
-    if (s.temperature <= options_.tmin) reheat(s);
-  }
-}
-
-namespace {
-
-/// One selected slot of a batch. The speculation seeds derive from the
-/// run's single splitmix64 stream at selection time, so an operation's
-/// draws depend only on (seed, how many candidates preceded it) — never on
-/// which worker executes it.
-struct BatchOp {
-  enum class Kind { Noop, Fusion, Fission };
-  Kind kind = Kind::Noop;
-  int atom = -1;
-  double temperature = 0.0;
-  std::uint64_t spec_seed = 0;    // speculation draws (bisect, partner pick)
-  std::uint64_t commit_seed = 0;  // commit draws (laws, hot/cold, absorb)
-  std::vector<int> claimed;       // the operation's territory (read set)
-  int partner = -1;               // fusion speculation output
-  Weight w_conn = 0.0;
-  std::vector<VertexId> moved;    // fission speculation output (FissionPlan)
-};
-
-}  // namespace
-
-void FusionFission::run_batched(State& s, const StopCondition& stop,
-                                AnytimeRecorder* recorder) {
-  const int batch_size =
-      options_.batch >= 1 ? options_.batch : kDefaultFusionFissionBatch;
-  const auto workers = static_cast<unsigned>(std::max(1, options_.threads));
-  // Declared before the pool so the slots return only after the pool's
-  // threads are joined — the budget never reads free while leased workers
-  // still run.
-  WorkerLease lease;
-  std::shared_ptr<ThreadPool> pool = options_.pool;
-  // Under a leased pool the calling thread doubles as a speculation lane:
-  // one pool worker per granted slot plus the caller, whose own thread is
-  // accounted by whatever level invoked this run. That keeps ThreadBudget
-  // books exact even when leases nest (portfolio restart → engine), while
-  // an injected or ungoverned pool keeps the historical caller-waits shape.
-  bool caller_lane = false;
-  if (pool == nullptr && workers > 1) {
-    if (options_.budget != nullptr) {
-      // Governed run: `threads` is a want — take whatever is free beyond
-      // this calling thread (a 0 grant runs speculation inline). The
-      // schedule, and thus the partition, is fixed by threads/batch alone,
-      // so the grant only moves latency.
-      lease = options_.budget->lease(workers - 1);
-      pool = leased_worker_pool(lease);
-      caller_lane = true;
-    } else {
-      pool = std::make_shared<ThreadPool>(workers);
-    }
-  }
-
-  const double t_step =
-      (options_.tmax - options_.tmin) / static_cast<double>(options_.nbt);
-
-  AtomBatchScheduler scheduler;
-  PartMarkScratch dirty;
-  // Slot storage persists across batches so per-op vectors keep capacity.
-  std::vector<BatchOp> ops(static_cast<std::size_t>(batch_size));
-  std::uint64_t stream = options_.seed ^ 0x9e3779b97f4a7c15ULL;
-
-  std::int64_t steps = 0;
-  while (!stop.done(steps)) {
-    // ---- SELECT (serial): draw candidates, claim disjoint territories ----
-    Rng select_rng(splitmix64(stream));
-    scheduler.begin_batch(s.cur());
-    const double t_base = s.temperature;
-    std::size_t n_ops = 0;
-    for (int c = 0; c < batch_size; ++c) {
-      const std::uint64_t op_seed = splitmix64(stream);
-      const auto atoms = s.cur().nonempty_parts();
-      const int atom = atoms[select_rng.below(atoms.size())];
-      const double t_op = std::max(
-          options_.tmin, t_base - static_cast<double>(n_ops) * t_step);
-
-      const double p_fission = choice_probability(s, atom, t_op);
-
-      const bool can_fission = s.cur().part_size(atom) >= 2;
-      const bool can_fusion = s.cur().num_nonempty_parts() >= 2;
-      BatchOp& op = ops[n_ops];
-      op.claimed.clear();
-      op.moved.clear();
-      op.partner = -1;
-      op.w_conn = 0.0;
-      op.atom = atom;
-      op.temperature = t_op;
-      std::uint64_t seed_state = op_seed;
-      op.spec_seed = splitmix64(seed_state);
-      op.commit_seed = splitmix64(seed_state);
-      if ((select_rng.bernoulli(p_fission) && can_fission) || !can_fusion) {
-        op.kind = can_fission ? BatchOp::Kind::Fission : BatchOp::Kind::Noop;
-      } else {
-        op.kind = BatchOp::Kind::Fusion;
-      }
-      if (op.kind != BatchOp::Kind::Noop &&
-          !scheduler.try_claim(s.cur(), atom, op.claimed)) {
-        ++s.result->conflicts;  // discarded: overlapping territory
-        continue;
-      }
-      ++n_ops;
-    }
-
-    // ---- SPECULATE (parallel): bisect fissions, score fusion partners ----
-    // One planner for both the parallel phase and the commit-phase stale
-    // re-plan, so the two can never diverge — only the molecule they read
-    // differs (frozen vs current).
-    const auto plan_op = [this](const Partition& molecule, BatchOp& op) {
-      Rng rng(op.spec_seed);
-      if (op.kind == BatchOp::Kind::Fusion) {
-        std::tie(op.partner, op.w_conn) = select_fusion_partner(
-            molecule, heat_of(op.temperature), op.atom, rng);
-      } else if (op.kind == BatchOp::Kind::Fission &&
-                 molecule.part_size(op.atom) >= 2) {
-        plan_split(molecule.members(op.atom), /*allow_percolation=*/true, rng,
-                   op.moved);
-      }
-    };
-    const Partition& frozen = s.cur();
-    const auto speculate = [&frozen, &plan_op](BatchOp& op) {
-      plan_op(frozen, op);
-    };
-    if (pool != nullptr && n_ops > 1) {
-      TaskGroup group(*pool);
-      const std::size_t lanes = std::min<std::size_t>(
-          pool->size() + (caller_lane ? 1 : 0), n_ops);
-      // Lane → ops assignment is fixed by index alone, so which thread
-      // (pool worker or the caller) runs a lane can never change results.
-      for (std::size_t lane = caller_lane ? 1 : 0; lane < lanes; ++lane) {
-        group.submit([&ops, &speculate, lane, lanes, n_ops] {
-          for (std::size_t i = lane; i < n_ops; i += lanes) {
-            speculate(ops[i]);
-          }
-        });
-      }
-      if (caller_lane) {
-        for (std::size_t i = 0; i < n_ops; i += lanes) speculate(ops[i]);
-      }
-      group.wait();
-    } else {
-      for (std::size_t i = 0; i < n_ops; ++i) speculate(ops[i]);
-    }
-
-    // ---- COMMIT (serial, fixed slot order) ----
-    dirty.begin(s.cur().num_parts());
-    s.dirty = &dirty;
-    std::size_t committed = 0;
-    for (std::size_t i = 0; i < n_ops; ++i) {
-      // Honor the budget mid-batch: after_steps(N) must mean exactly N
-      // committed steps, as the serial loop guarantees. (Step budgets make
-      // this check thread-count independent; wall-clock budgets are
-      // nondeterministic in any mode.)
-      if (stop.done(steps)) break;
-      BatchOp& op = ops[i];
-      ++steps;
-      ++s.result->steps;
-      ++committed;
-      s.temperature = op.temperature;
-      if (op.kind != BatchOp::Kind::Noop) {
-        // A committed predecessor that wrote into this operation's
-        // territory (ejection absorbs reach two hops out) invalidates its
-        // speculation; re-plan serially against the current state with the
-        // same speculation stream.
-        bool stale = false;
-        for (int q : op.claimed) {
-          if (dirty.seen(q)) {
-            stale = true;
-            break;
-          }
-        }
-        if (stale) {
-          ++s.result->stale_redone;
-          plan_op(s.cur(), op);
-        }
-        Rng rng(op.commit_seed);
-        if (op.kind == BatchOp::Kind::Fusion) {
-          const FusionPlan plan{op.partner, op.w_conn};
-          do_fusion(s, op.atom, rng, &plan);
-        } else {
-          FissionPlan plan;
-          plan.moved.swap(op.moved);
-          do_fission(s, op.atom, rng, &plan);
-          plan.moved.swap(op.moved);  // hand the capacity back to the slot
-        }
-      }
-      note_partition(s, recorder);
-    }
-    s.dirty = nullptr;
-    ++s.result->batches;
-    if (s.ckpt_on) maybe_checkpoint(s);
-
-    s.temperature = t_base - static_cast<double>(committed) * t_step;
-    if (s.temperature <= options_.tmin) reheat(s);
   }
 }
 
@@ -660,10 +396,15 @@ void FusionFission::reheat(State& s) {
   ++s.result->reheats;
 }
 
-double FusionFission::choice_probability(const State& s, int atom,
-                                         double temperature) const {
+void FusionFission::step(State& s) {
+  ++s.result->steps;
+
+  // choose_atom: uniformly over non-empty atoms.
+  const auto atoms = s.cur().nonempty_parts();
+  const int atom = atoms[s.rng.below(atoms.size())];
+
   double p_fission =
-      fission_probability(s.cur().part_size(atom), temperature, choice_);
+      fission_probability(s.cur().part_size(atom), s.temperature, choice_);
 
   // Customized choice function (see FusionFissionOptions::choice_term_bias):
   // an atom whose ratio term is worse than the molecule average is pushed
@@ -680,24 +421,13 @@ double FusionFission::choice_probability(const State& s, int atom,
           p_fission + options_.choice_term_bias * bias, 0.0, 1.0);
     }
   }
-  return p_fission;
-}
-
-void FusionFission::step(State& s) {
-  ++s.result->steps;
-
-  // choose_atom: uniformly over non-empty atoms.
-  const auto atoms = s.cur().nonempty_parts();
-  const int atom = atoms[s.rng.below(atoms.size())];
-
-  const double p_fission = choice_probability(s, atom, s.temperature);
 
   const bool can_fission = s.cur().part_size(atom) >= 2;
   const bool can_fusion = s.cur().num_nonempty_parts() >= 2;
   if ((s.rng.bernoulli(p_fission) && can_fission) || !can_fusion) {
-    if (can_fission) do_fission(s, atom, s.rng, nullptr);
+    if (can_fission) do_fission(s, atom, s.rng);
   } else {
-    do_fusion(s, atom, s.rng, nullptr);
+    do_fusion(s, atom, s.rng);
   }
 }
 
@@ -802,10 +532,19 @@ FusionFissionResult FusionFission::run(const StopCondition& stop,
   s.best = s.cur();
   s.best_energy = s.current_energy;
 
-  if (batched()) {
-    run_batched(s, stop, recorder);
-  } else {
-    run_serial(s, stop, recorder);
+  // Algorithm 1: linear cooling, reheat at the freezing point.
+  const double t_step =
+      (options_.tmax - options_.tmin) / static_cast<double>(options_.nbt);
+  std::int64_t steps = 0;
+  while (!stop.done(steps)) {
+    ++steps;
+    step(s);
+    note_partition(s, recorder);
+    // Clock reads amortized to every 64th step; emits are rarer still.
+    if (s.ckpt_on && (steps & 63) == 0) maybe_checkpoint(s);
+
+    s.temperature -= t_step;
+    if (s.temperature <= options_.tmin) reheat(s);
   }
   // Final flush: the checkpoint on disk always matches the best this run
   // will report, even when the run was shorter than one interval.
@@ -842,7 +581,7 @@ FusionFissionResult FusionFission::run(const StopCondition& stop,
         if (s.cur().part_size(q) > s.cur().part_size(largest)) largest = q;
       }
       if (s.cur().part_size(largest) < 2) break;
-      split_atom(s, largest, /*allow_percolation=*/true, s.rng, nullptr);
+      split_atom(s, largest, s.rng);
     }
     result.best = s.cur();
     result.best_value = s.tracker.value();

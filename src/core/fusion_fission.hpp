@@ -37,34 +37,10 @@
 // bulk split identity, and the choice_term_bias leak-ratio sum is the
 // tracker's auxiliary term, maintained under the same per-move updates.
 //
-// Parallelism (threads/batch options): besides the classic serial loop,
-// the engine has a batched mode that exploits the per-atom independence
-// inside Algorithm 1. Each *batch* runs three phases:
-//
-//   1. SELECT (serial): up to `batch` candidate atoms are drawn; each must
-//      claim its territory — the atom plus every connected atom — through
-//      the epoch-stamped AtomBatchScheduler (core/batch_scheduler.hpp).
-//      Overlapping candidates are discarded as conflicts.
-//   2. SPECULATE (parallel): the expensive per-atom work — percolation
-//      bisection for fissions, connection scoring + partner selection for
-//      fusions — runs on worker threads against the frozen molecule, each
-//      operation on its own splitmix64-derived Rng stream. Disjoint
-//      territories make every read conflict-free.
-//   3. COMMIT (serial, fixed slot order): operations apply through the
-//      ObjectiveTracker one by one — merge/split, law-driven ejection,
-//      absorption, law reinforcement — exactly as the serial loop would.
-//      Commits may touch parts outside their own territory (ejected
-//      nucleons absorb two hops out), so committed mutations mark parts
-//      dirty; a later operation whose territory got dirtied re-plans its
-//      speculation serially against the current state (counted in
-//      FusionFissionResult::stale_redone).
-//
-// Every random draw comes from a stream derived only from (seed, batch
-// index, slot), and phases 1 and 3 are serial — so the result is
-// byte-identical for any thread count at a fixed batch size; `threads`
-// only decides where phase 2 runs. The batched schedule is NOT the serial
-// schedule (temperature steps per slot, reheats land on batch boundaries),
-// which is why `threads = 0` keeps the untouched serial loop as default.
+// Parallelism lives above the kernel: one run is the serial Algorithm 1
+// loop, and independent seeded runs go in parallel as portfolio restarts
+// (solver/portfolio.hpp) — the KaFFPaE layout. Concurrent restarts each own
+// their engine, so the operators keep only thread_local scratch.
 #pragma once
 
 #include <cstdint>
@@ -79,20 +55,13 @@
 #include "core/laws.hpp"
 #include "core/scaling.hpp"
 #include "metaheuristics/anytime.hpp"
-#include "service/thread_budget.hpp"
 #include "partition/objective_tracker.hpp"
 #include "partition/objectives.hpp"
 #include "partition/partition.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace ffp {
-
-/// Batch size the batched engine uses when FusionFissionOptions::batch is
-/// left at 0. Deliberately a fixed constant, never derived from `threads`,
-/// so changing the worker count can never change the schedule.
-inline constexpr int kDefaultFusionFissionBatch = 16;
 
 struct FusionFissionOptions {
   ObjectiveKind objective = ObjectiveKind::MinMaxCut;
@@ -118,26 +87,6 @@ struct FusionFissionOptions {
   bool use_laws = true;               ///< frozen uniform laws when false
   bool percolation_fission = true;    ///< random halving when false
   ScalingKind scaling = ScalingKind::BindingEnergy;
-
-  // Batched parallel engine (header comment above). threads == 0 runs the
-  // classic serial Algorithm 1 loop. threads >= 1 runs the batched engine
-  // with that many speculation workers (1 = inline on the calling thread);
-  // results are byte-identical across all threads >= 1 for a fixed batch
-  // size. batch > 0 overrides the default batch size and, on its own,
-  // also selects the batched engine.
-  int threads = 0;
-  int batch = 0;  ///< candidate atoms per batch; 0 = kDefaultFusionFissionBatch
-  /// Optional shared worker pool (solver/worker_pool.hpp). When null and
-  /// threads > 1, run() creates a private pool for the run.
-  std::shared_ptr<ThreadPool> pool;
-  /// Optional process-wide governor (service/thread_budget.hpp). When set
-  /// and no pool was injected, the run *leases* its speculation workers:
-  /// `threads` becomes a want, the pool is sized to the grant (possibly
-  /// inline-only), and the slots return when the run ends. `threads` and
-  /// `batch` alone still fix the schedule, so the result stays
-  /// byte-identical whatever the grant. This is how the engine composes
-  /// with portfolio restarts and service jobs without oversubscribing.
-  ThreadBudget* budget = nullptr;
 
   std::uint64_t seed = 17;
 
@@ -188,10 +137,6 @@ struct FusionFissionResult {
   std::int64_t fissions = 0;
   std::int64_t ejections = 0;
   int reheats = 0;
-  // Batched-engine speculative-work accounting (all 0 in serial mode).
-  std::int64_t batches = 0;       ///< step-batches committed
-  std::int64_t conflicts = 0;     ///< candidates discarded for territory overlap
-  std::int64_t stale_redone = 0;  ///< operations re-planned at commit
 };
 
 class FusionFission {
@@ -203,54 +148,23 @@ class FusionFission {
                           AnytimeRecorder* recorder = nullptr);
 
   /// Algorithm 2 only (exposed for tests/benches): a near-k partition grown
-  /// from singletons. Always serial — initialization is fusion-dominated
-  /// and already measures in milliseconds.
+  /// from singletons.
   Partition initialize();
 
  private:
   struct State;
-  /// Speculative outputs, computed on workers against the frozen molecule
-  /// and applied at commit (or re-planned there when stale).
-  struct FusionPlan {
-    int partner = -1;
-    Weight w_conn = 0.0;
-  };
-  struct FissionPlan {
-    /// Minority side to split off; empty = percolation degenerated to one
-    /// side, force a single-vertex split.
-    std::vector<VertexId> moved;
-  };
-
-  bool batched() const { return options_.threads >= 1 || options_.batch >= 1; }
-  /// The fission probability of Algorithm 1 step 2 at `temperature`,
-  /// including the optional leak-ratio choice bias — shared by the serial
-  /// step and the batched SELECT phase so the choice rule stays one
-  /// definition.
-  double choice_probability(const State& s, int atom,
-                            double temperature) const;
-  void run_serial(State& s, const StopCondition& stop,
-                  AnytimeRecorder* recorder);
-  void run_batched(State& s, const StopCondition& stop,
-                   AnytimeRecorder* recorder);
   void step(State& s);
-  void do_fusion(State& s, int atom, Rng& rng, const FusionPlan* plan);
-  void do_fission(State& s, int atom, Rng& rng, const FissionPlan* plan);
-  int absorb_nucleon(State& s, VertexId v);          // nfusion
-  void simple_fission(State& s, int atom, Rng& rng); // nfission, no ejection
-  /// Chosen partner id (or -1) plus the connection weight to it. Const and
-  /// reentrant: reads the molecule, draws only from `rng` — the fusion
-  /// speculation entry point.
+  void do_fusion(State& s, int atom, Rng& rng);
+  void do_fission(State& s, int atom, Rng& rng);
+  int absorb_nucleon(State& s, VertexId v);  // nfusion
+  /// Chosen partner id (or -1) plus the connection weight to it.
   std::pair<int, Weight> select_fusion_partner(const Partition& cur,
                                                double heat, int atom,
                                                Rng& rng) const;
   std::vector<VertexId> pick_ejected(State& s, int atom, int count);
-  /// Computes the side to split off `members` (percolation or the random-
-  /// halving ablation). Const and reentrant — the fission speculation
-  /// entry point.
-  void plan_split(std::span<const VertexId> members, bool allow_percolation,
-                  Rng& rng, std::vector<VertexId>& moved) const;
-  void split_atom(State& s, int atom, bool allow_percolation, Rng& rng,
-                  const FissionPlan* plan);
+  /// Cuts `atom` in two (percolation, or the random-halving ablation),
+  /// with no ejection — also the paper's nfission.
+  void split_atom(State& s, int atom, Rng& rng);
   /// Energy of the current molecule, O(1) off the tracker's running value.
   double energy_now(const State& s) const;
   /// 1 at tmax … 0 at tmin.

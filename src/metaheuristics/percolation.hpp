@@ -53,14 +53,12 @@ std::vector<int> percolation_bisect(const Graph& g,
 ///
 /// Reentrant worker entry point: all scratch is thread_local, the graph is
 /// only read, and the result depends solely on (g, vertices, rng state) —
-/// so any number of pool workers may bisect disjoint atom sets of the same
-/// graph concurrently, each with its own Rng, and produce the same labels
-/// they would have produced serially. The batched fusion-fission engine's
-/// speculative phase leans on exactly this contract. When the parent
-/// graph's edge weights are uniform the local CSR skips materializing its
-/// weight lane entirely (the kernels substitute the constant), which cuts
-/// the per-bisect memory traffic roughly in half on dense-neighborhood
-/// families.
+/// so concurrent portfolio restarts may bisect atoms of the same graph,
+/// each with its own Rng, and produce the same labels they would have
+/// produced serially. When the parent graph's edge weights are uniform
+/// the local CSR skips materializing its weight lane entirely (the kernels
+/// substitute the constant), which cuts the per-bisect memory traffic
+/// roughly in half on dense-neighborhood families.
 void percolation_bisect_into(const Graph& g,
                              std::span<const VertexId> vertices, Rng& rng,
                              std::vector<int>& side);

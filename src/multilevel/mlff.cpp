@@ -202,10 +202,6 @@ MlffResult mlff_partition(const Graph& g, int k, const MlffOptions& options,
   // 2. Full fusion-fission on the coarsest graph, under the caller's stop.
   FusionFissionOptions ffopt;
   ffopt.objective = options.objective;
-  ffopt.threads = options.threads;
-  ffopt.batch = options.batch;
-  ffopt.pool = options.pool;
-  ffopt.budget = options.budget;
   ffopt.seed = ff_seed;
   ffopt.warm_start = coarse_warm;
   ffopt.checkpoint_every_ms = options.checkpoint_every_ms;
@@ -221,7 +217,6 @@ MlffResult mlff_partition(const Graph& g, int k, const MlffOptions& options,
   out.fusions = coarse_res.fusions;
   out.fissions = coarse_res.fissions;
   out.reheats = coarse_res.reheats;
-  out.batches = coarse_res.batches;
 
   // 3. Project level by level; after each projection run the boundary
   // burst on that level's graph, with the budget halving toward the fine

@@ -7,9 +7,7 @@
 //   1. coarsen_chain (multilevel/coarsen.hpp) shrinks the graph to
 //      ~coarse_n vertices (default max(k·64, n/64));
 //   2. full fusion-fission (core/fusion_fission.hpp) partitions the
-//      coarsest graph under the caller's stop condition — threads/batch
-//      select the batched parallel engine, byte-identical across thread
-//      counts for a fixed batch;
+//      coarsest graph under the caller's stop condition;
 //   3. project_partition maps the atoms back level by level; after each
 //      projection a boundary-localized refinement burst (strictly
 //      improving single-vertex moves under the ObjectiveTracker) repairs
@@ -17,9 +15,8 @@
 //      coarsest projection and halves toward the fine levels.
 //
 // Every stage draws from seeds derived off one splitmix64 stream of
-// MlffOptions::seed and runs serially except the coarse FF speculation
-// phase — so the result is a pure function of (graph, k, options, step
-// budget), independent of thread count.
+// MlffOptions::seed and runs serially, so the result is a pure function of
+// (graph, k, options, step budget).
 #pragma once
 
 #include <cstdint>
@@ -43,14 +40,6 @@ struct MlffOptions {
   /// attempt = one boundary vertex examined (O(deg) scan).
   std::int64_t refine_steps = 32768;
   MatchingKind matching = MatchingKind::HeavyEdge;
-
-  /// Coarse-phase fusion-fission engine (see FusionFissionOptions):
-  /// threads == 0 runs the serial loop; threads >= 1 or batch >= 1 runs
-  /// the batched engine, byte-identical across all threads >= 1.
-  int threads = 0;
-  int batch = 0;
-  std::shared_ptr<ThreadPool> pool;
-  ThreadBudget* budget = nullptr;
 
   std::uint64_t seed = 2006;
 
@@ -83,7 +72,6 @@ struct MlffResult {
   std::int64_t fusions = 0;
   std::int64_t fissions = 0;
   int reheats = 0;
-  std::int64_t batches = 0;  ///< batched-engine accounting (0 when serial)
   std::int64_t refine_attempts = 0;  ///< boundary vertices examined
   std::int64_t refine_moves = 0;     ///< strictly improving moves applied
 };

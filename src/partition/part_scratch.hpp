@@ -24,24 +24,16 @@ class PartMarkScratch {
  public:
   /// Starts a new marking round over part ids in [0, num_parts).
   void begin(int num_parts) {
-    grow(num_parts);
-    if (++epoch_ == 0) {  // epoch wrapped: stale stamps could collide
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      epoch_ = 1;
-    }
-    marked_.clear();
-  }
-
-  /// Extends the id range mid-round without ending it — for callers whose
-  /// round outlives part creation (the fusion-fission batch commit marks
-  /// parts dirty while fissions mint fresh part slots). New cells start
-  /// unmarked (stamp 0 can never equal a live epoch).
-  void grow(int num_parts) {
     const auto need = static_cast<std::size_t>(num_parts);
     if (stamp_.size() < need) {
       stamp_.resize(need, 0);
       acc_.resize(need, 0.0);
     }
+    if (++epoch_ == 0) {  // epoch wrapped: stale stamps could collide
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+    marked_.clear();
   }
 
   /// Marks p; returns true iff p was not yet marked since begin().
@@ -51,10 +43,6 @@ class PartMarkScratch {
     stamp = epoch_;
     marked_.push_back(p);
     return true;
-  }
-
-  bool seen(int p) const {
-    return stamp_[static_cast<std::size_t>(p)] == epoch_;
   }
 
   /// Accumulates w onto p's weight cell (zeroed on first mark).

@@ -15,10 +15,8 @@
 // Thread safety: every const member function only reads state (the one
 // internal scratch, in connections(), is thread_local), so any number of
 // threads may read one Partition concurrently as long as no thread mutates
-// it — the contract the fusion-fission batched engine relies on during its
-// speculative phase, where worker threads score fusions and plan fissions
-// against a frozen molecule through const references. Mutating members are
-// not synchronized; mutation requires exclusive access.
+// it. Mutating members are not synchronized; mutation requires exclusive
+// access.
 #pragma once
 
 #include <span>

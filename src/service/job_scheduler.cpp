@@ -304,8 +304,6 @@ void JobScheduler::run_job(Job& job) {
   request.k = spec.k;
   request.objective = spec.objective;
   request.seed = spec.seed;
-  request.threads = spec.threads;
-  request.budget = budget_;
   request.recorder = job.recorder.get();
   request.warm_start = spec.warm_start;
   request.warm_start_value = spec.warm_start_value;
@@ -319,14 +317,13 @@ void JobScheduler::run_job(Job& job) {
   std::string error;
   try {
     if (spec.restarts > 1 || spec.seed_restart || spec.on_restart_result) {
-      // Portfolio multi-start inside the job: restart workers and each
-      // restart's intra-run engine all lease from the scheduler's budget,
-      // so a portfolio job obeys the same machine-wide cap as any other.
+      // Portfolio multi-start inside the job: restart workers lease from
+      // the scheduler's budget, so a portfolio job obeys the same
+      // machine-wide cap as any other.
       // Evolve hooks force this path even at restarts=1, so their seeding
       // and feedback contracts hold uniformly.
       PortfolioOptions popt;
       popt.restarts = spec.restarts;
-      popt.threads = spec.threads;
       popt.budget = budget_;
       popt.seed_restart = spec.seed_restart;
       popt.on_result = spec.on_restart_result;

@@ -1,19 +1,20 @@
 // Multi-tenant job scheduling over the solver engine layer: the service
 // subsystem's core. Clients submit JobSpecs (graph + method spec + budget +
 // seed + priority); a fixed set of runner threads executes them
-// highest-priority-first (FIFO within a priority), each solve leasing its
-// workers from a ThreadBudget so N concurrent jobs can never oversubscribe
-// the machine no matter how much intra-run parallelism each one asks for.
+// highest-priority-first (FIFO within a priority), each runner and each
+// portfolio leasing its workers from a ThreadBudget so N concurrent jobs
+// can never oversubscribe the machine, however many restarts they ask for.
 //
 // Determinism contract (what the service tests prove): a job's result
-// depends only on its JobSpec — seed, step budget, method, k, objective.
-// Runner scheduling, the budget size, and how many worker slots a solve
-// happens to be granted never change the partition, because (a) every
-// random draw derives from the spec's seed and (b) the batched
-// fusion-fission engine is byte-identical at any worker count. So a fixed
-// set of step-budgeted jobs yields byte-identical partitions whether
-// submitted serially or concurrently, at any budget. (Wall-clock-budgeted
-// jobs trade that guarantee for latency control, exactly like the CLI.)
+// depends only on its JobSpec — seed, step budget, method, k, objective,
+// restarts. Runner scheduling, the budget size, and how many worker slots
+// a portfolio happens to be granted never change the partition, because
+// (a) every random draw derives from the spec's seed, (b) each solver run
+// is serial, and (c) the portfolio's winner depends only on its results.
+// So a fixed set of step-budgeted jobs yields byte-identical partitions
+// whether submitted serially or concurrently, at any budget.
+// (Wall-clock-budgeted jobs trade that guarantee for latency control,
+// exactly like the CLI.)
 //
 // Cancellation: cancel() removes a queued job outright and flips a running
 // job's cancel flag, which the solver's StopCondition observes — the job
@@ -69,7 +70,6 @@ struct JobSpec {
   std::int64_t steps = 0;
   double budget_ms = 5000;
   int priority = 0;    ///< higher runs first; FIFO within a priority
-  unsigned threads = 0;  ///< intra-run worker *want*, leased from the budget
   /// Queue TTL: a job that waited longer than this before a runner picked
   /// it up goes terminal Failed with code QueueExpired instead of running
   /// — its caller has typically given up, and running it anyway would

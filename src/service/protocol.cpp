@@ -19,7 +19,7 @@ const std::set<std::string_view>& submit_keys() {
   static const std::set<std::string_view> keys = {
       "op",        "id",    "graph_file", "graph",     "method",   "k",
       "objective", "seed",  "steps",      "budget_ms", "priority",
-      "threads",   "restarts", "queue_ttl_ms", "checkpoint_every_ms",
+      "restarts",  "queue_ttl_ms", "checkpoint_every_ms",
       "warm_start", "evolve"};
   return keys;
 }
@@ -175,8 +175,6 @@ Request parse_submit(const JsonValue& root, const ProtocolLimits& limits) {
       int_field(root, "steps", 0, 0, limits.max_steps);
   req.spec.priority = static_cast<int>(
       int_field(root, "priority", 0, -1'000'000, 1'000'000));
-  req.spec.threads = static_cast<unsigned>(
-      int_field(root, "threads", 0, 0, limits.max_threads));
   req.spec.restarts =
       static_cast<int>(int_field(root, "restarts", 1, 1, limits.max_restarts));
   if (const JsonValue* b = root.find("budget_ms"); b != nullptr) {

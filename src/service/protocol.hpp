@@ -6,7 +6,7 @@
 //
 //   {"op":"submit","id":"j1","graph_file":"mesh.graph","k":8,
 //    "method":"fusion_fission","objective":"mcut","seed":7,"steps":20000,
-//    "priority":0,"threads":2,"queue_ttl_ms":5000}
+//    "priority":0,"restarts":4,"queue_ttl_ms":5000}
 //   {"op":"submit","id":"j2","graph":{"n":4,"edges":[[0,1],[1,2],[2,3,2.5]]},
 //    "k":2,"steps":1000}
 //   {"op":"status","id":"j1"}
@@ -67,7 +67,6 @@ struct ProtocolLimits {
   std::size_t max_id_bytes = 128;
   std::int64_t max_steps = 1'000'000'000'000;  ///< 1e12 committed steps
   double max_budget_ms = 86'400'000;           ///< one day of wall clock
-  unsigned max_threads = 4096;
   int max_restarts = 4096;
 };
 

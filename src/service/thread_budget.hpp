@@ -1,10 +1,9 @@
-// Process-wide worker-thread governor: every parallel client in the repo —
-// PortfolioRunner's restart workers, the batched fusion-fission engine's
-// speculation workers, and the service JobScheduler's runners — *leases*
-// its threads from one ThreadBudget instead of sizing its own pool, so the
-// composition of parallel layers can never oversubscribe the machine (the
-// PR-3 caveat: R portfolio restarts × T speculation workers used to spawn
-// R×T threads on a T-core box).
+// Process-wide worker-thread governor: both parallel levels in the repo —
+// the service JobScheduler's runners (between jobs) and PortfolioRunner's
+// restart workers (between restarts of one job) — *lease* their threads
+// from one ThreadBudget instead of sizing their own pools, so the two
+// levels together can never oversubscribe the machine. A single solver
+// run is serial.
 //
 // The protocol is deliberately non-blocking: `lease(want)` grants
 // min(want, available) slots — possibly zero — and never waits. A caller
@@ -13,13 +12,13 @@
 // correct here because every parallel consumer in the repo is
 // scheduling-independent: results are byte-identical at any worker count.
 // Non-blocking grants are also what makes nesting deadlock-free — a
-// portfolio restart that leases speculation workers from inside a leased
-// portfolio slot can never wait on capacity its own ancestors hold.
+// portfolio that leases restart workers from inside a scheduler runner's
+// slot can never wait on capacity its own ancestors hold.
 //
 // Accounting model: a lease covers *worker threads doing work*. The
 // calling thread itself is not counted — it either blocks waiting for its
-// workers (portfolio, batched engine) or is itself covered by its parent's
-// lease (a scheduler runner executing a solve). So a budget of B bounds
+// workers (a portfolio) or is itself covered by its parent's lease (a
+// scheduler runner executing a solve). So a budget of B bounds
 // the number of runnable leased workers at B; `peak_in_use()` records the
 // high-water mark, which the service tests assert never exceeds `total()`.
 #pragma once
@@ -86,7 +85,7 @@ class ThreadBudget {
   unsigned peak_in_use() const;
 
   /// Non-blocking: grants min(want, available), possibly 0. Never waits,
-  /// so nested leases (portfolio restart → speculation workers) cannot
+  /// so nested leases (scheduler runner → portfolio workers) cannot
   /// deadlock; a 0-slot grant means "run inline on your own thread".
   WorkerLease lease(unsigned want);
 

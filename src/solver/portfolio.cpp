@@ -79,11 +79,9 @@ SolverResult PortfolioRunner::run(const Graph& g,
   {
     // More workers than restarts would only idle; cap the want. Under a
     // budget every restart worker holds a leased slot — the calling
-    // thread only blocks, so it is not counted and transfers nothing (the
-    // leaf engines inside the restarts lease their own slots from the
-    // same governor via request.budget, which is what keeps the whole
-    // nest within one machine-wide cap). A fully contended 0 grant falls
-    // back to one unleased worker: the entry thread's own concurrency.
+    // thread only blocks, so it is not counted. A fully contended 0 grant
+    // falls back to one unleased worker: the entry thread's own
+    // concurrency.
     unsigned want = options_.threads == 0
                         ? std::max(1u, std::thread::hardware_concurrency())
                         : options_.threads;

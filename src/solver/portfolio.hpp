@@ -2,6 +2,9 @@
 // KaFFPaE's parallel evolutionary restarts: fan N restarts of one solver (or
 // a round-robin mix) across a ThreadPool, each with its own seed drawn from
 // a splitmix64 stream of the request seed, and keep the best result.
+// Restarts are the only parallelism inside one job: each restart is one
+// serial solver run, as in KaFFPaE, where individuals evolve in parallel
+// and no single local search is parallelized.
 //
 // Determinism contract: the per-restart seed stream and the winner selection
 // (best value, ties broken by lowest restart index) depend only on the
@@ -31,11 +34,9 @@ struct PortfolioOptions {
   unsigned threads = 0;  ///< 0 → hardware concurrency
   /// Process-wide governor (service/thread_budget.hpp). When set, the
   /// restart workers are *leased*: the runner takes min(threads, restarts)
-  /// − 1 extra workers beyond its calling thread, or fewer when the budget
-  /// is contended, and each restart's solver leases its own intra-run
-  /// workers from what remains (the request's `budget` field carries the
-  /// same governor down). Restarts × intra-run threads can therefore never
-  /// exceed the budget. Null keeps the historical fixed-size pool.
+  /// workers, or fewer when the budget is contended (at least one). Each
+  /// restart is a serial solver run, so the grant bounds the portfolio's
+  /// threads. Null keeps the fixed-size pool.
   ThreadBudget* budget = nullptr;
   /// Per-restart request customization (the evolve layer's seeding hook):
   /// called on the restart's WORKER thread, after the stream seed is set,

@@ -11,7 +11,7 @@ bool is_spec_space(char c) {
 }
 
 /// One comma-delimited piece may hold several whitespace-separated pairs
-/// ("threads=2 batch=1") or a single pair with cosmetic spaces around '='
+/// ("nbt=800 tmax=2") or a single pair with cosmetic spaces around '='
 /// ("beta = x") — disambiguated by counting '=' signs.
 std::vector<std::string_view> split_pairs(std::string_view piece) {
   std::size_t equals = 0;
@@ -176,7 +176,7 @@ std::pair<std::string_view, std::string_view> SolverRegistry::split_spec(
   if (colon != std::string_view::npos) {
     return {trim(spec.substr(0, colon)), spec.substr(colon + 1)};
   }
-  // Whitespace form ("fusion_fission threads=2"): only split when the tail
+  // Whitespace form ("fusion_fission nbt=800"): only split when the tail
   // actually looks like options — otherwise multi-word names keep reporting
   // "unknown solver '<whole string>'" instead of a misleading option error.
   const std::string_view trimmed = trim(spec);
@@ -233,9 +233,7 @@ SolverRegistry make_builtin() {
   r.add("fusion_fission",
         "the paper's fusion-fission metaheuristic (tmax, tmin, nbt, "
         "choice_slope, choice_offset, law_delta, use_laws, "
-        "percolation_fission, scaling=binding|linear|identity, "
-        "threads, batch — threads>=1 or batch>=1 selects the batched "
-        "parallel engine, byte-identical across thread counts)",
+        "percolation_fission, scaling=binding|linear|identity)",
         [](const SolverOptions& o) -> SolverPtr {
           FusionFissionOptions opt;
           opt.tmax = o.get_double("tmax", opt.tmax);
@@ -249,10 +247,6 @@ SolverRegistry make_builtin() {
           opt.use_laws = o.get_bool("use_laws", opt.use_laws);
           opt.percolation_fission =
               o.get_bool("percolation_fission", opt.percolation_fission);
-          opt.threads = static_cast<int>(o.get_int("threads", opt.threads));
-          FFP_CHECK(opt.threads >= 0, "fusion_fission threads must be >= 0");
-          opt.batch = static_cast<int>(o.get_int("batch", opt.batch));
-          FFP_CHECK(opt.batch >= 0, "fusion_fission batch must be >= 0");
           opt.scaling = o.get_enum<ScalingKind>(
               "scaling", opt.scaling,
               {{"binding", ScalingKind::BindingEnergy},
@@ -266,9 +260,7 @@ SolverRegistry make_builtin() {
         "coarse_n vertices (0 = max(k*64, n/64)), run full fusion-fission "
         "on the coarse graph, project back with boundary refinement bursts "
         "(refine_steps at the coarsest projection, halving toward the fine "
-        "levels). Options: coarse_n, refine_steps, matching=heavy|random, "
-        "threads, batch — threads>=1 or batch>=1 selects the batched "
-        "coarse engine, byte-identical across thread counts",
+        "levels). Options: coarse_n, refine_steps, matching=heavy|random",
         [](const SolverOptions& o) -> SolverPtr {
           MlffOptions opt;
           opt.coarse_n = static_cast<int>(o.get_int("coarse_n", opt.coarse_n));
@@ -279,10 +271,6 @@ SolverRegistry make_builtin() {
               "matching", opt.matching,
               {{"heavy", MatchingKind::HeavyEdge},
                {"random", MatchingKind::Random}});
-          opt.threads = static_cast<int>(o.get_int("threads", opt.threads));
-          FFP_CHECK(opt.threads >= 0, "mlff threads must be >= 0");
-          opt.batch = static_cast<int>(o.get_int("batch", opt.batch));
-          FFP_CHECK(opt.batch >= 0, "mlff batch must be >= 0");
           return std::make_shared<MlffSolver>(opt);
         });
 

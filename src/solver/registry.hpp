@@ -117,8 +117,8 @@ class SolverRegistry {
   /// THE one place spec strings are normalized: validates the spec end to
   /// end (unknown names, unknown/duplicate keys, and bad values all throw)
   /// and returns `name` or `name:key=value,...` with keys sorted and
-  /// whitespace stripped — so `fusion_fission threads=2` and
-  /// `fusion_fission: threads=2 ,` resolve and cache identically.
+  /// whitespace stripped — so `fusion_fission nbt=800` and
+  /// `fusion_fission: nbt=800 ,` resolve and cache identically.
   std::string canonical_spec(std::string_view spec) const;
 
   /// The process-wide registry with every built-in solver registered.

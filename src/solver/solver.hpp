@@ -49,17 +49,10 @@ struct SolverRequest {
   StopCondition stop;                   ///< metaheuristics only
   std::uint64_t seed = 1;
   AnytimeRecorder* recorder = nullptr;  ///< optional anytime trajectory
-  /// Worker threads the solver may use INSIDE one run (fusion-fission's
-  /// batched engine; solvers without intra-run parallelism ignore it).
-  /// 0 keeps the solver's own default. Distinct from portfolio threads,
-  /// which parallelize across restarts — the two levels never share a
-  /// pool (see solver/worker_pool.hpp).
-  unsigned threads = 0;
-  /// Process-wide worker governor (service/thread_budget.hpp). When set,
-  /// `threads` becomes a *want*: the solver leases min(threads−1, free)
-  /// extra workers beyond its own calling thread and degrades gracefully
-  /// to fewer lanes — never changing the result, only where phase work
-  /// runs. Null keeps the historical fixed-size-pool behavior.
+  /// Read by no solver: every run is serial, and parallelism lives in
+  /// PortfolioRunner and JobScheduler, which take their budget through
+  /// their own options. Kept declared only because perfbench/ladder.cpp
+  /// assigns it; delete it together with that assignment.
   ThreadBudget* budget = nullptr;
   // Durable-solve hooks (persist/), honored by the anytime-capable
   // fusion-fission and mlff adapters and ignored by the rest. See

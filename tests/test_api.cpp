@@ -44,8 +44,6 @@ std::vector<int> legacy_pipeline(const Graph& g, const std::string& method,
   request.k = k;
   request.objective = ObjectiveKind::MinMaxCut;
   request.seed = seed;
-  request.threads = budget_size;
-  request.budget = &budget;
   request.stop = StopCondition::after_steps(steps);
   if (restarts > 1) {
     PortfolioOptions popt;
@@ -72,7 +70,6 @@ std::vector<int> facade_pipeline(const Graph& g, const std::string& method,
   spec.seed = seed;
   spec.steps = steps;
   spec.restarts = restarts;
-  spec.threads = budget_size;
   return assignment_of(engine.solve(api::Problem::viewing(g), spec).best);
 }
 
@@ -131,15 +128,10 @@ TEST(SolveSpec, ResolvedStepsImplementsTheDeterminismRule) {
   spec.restarts = 4;  // parallelism → derived step budget
   EXPECT_EQ(spec.resolved_steps(),
             static_cast<std::int64_t>(100 * api::SolveSpec::kStepsPerMs));
-  spec.restarts = 1;
-  spec.threads = 2;
-  EXPECT_GT(spec.resolved_steps(), 0);
-  spec.threads = 0;
-  spec.method = "fusion_fission:threads=2";  // spec-side parallelism counts
-  EXPECT_GT(spec.resolved_steps(), 0);
+  spec.restarts = 1;  // a single run stays on the wall clock
+  EXPECT_EQ(spec.resolved_steps(), 0);
 
   spec.method = "multilevel";  // direct solver: no steps, yet deterministic
-  spec.restarts = 1;
   EXPECT_EQ(spec.resolved_steps(), 0);
   EXPECT_TRUE(spec.deterministic());
 }
@@ -153,13 +145,6 @@ TEST(SolveSpec, CacheKeyCapturesResultIdentityOnly) {
   api::SolveSpec other = spec;
   other.priority = 9;  // cannot change the partition
   EXPECT_EQ(other.cache_key(), key);
-  other = spec;
-  other.threads = 2;  // selects the batched engine → different identity
-  EXPECT_NE(other.cache_key(), key);
-  other.threads = 3;  // ...but any positive count is the same schedule
-  api::SolveSpec two = spec;
-  two.threads = 2;
-  EXPECT_EQ(other.cache_key(), two.cache_key());
   other = spec;
   other.seed = 999;
   EXPECT_NE(other.cache_key(), key);
@@ -292,12 +277,12 @@ TEST(EngineCache, CanonicalizationMakesEquivalentSpecsCollide) {
   api::SolveSpec spec;
   spec.k = 3;
   spec.steps = 500;
-  spec.method = "fusion_fission:threads=2";
+  spec.method = "fusion_fission:nbt=800";
   engine.solve(problem, spec);
   // Whitespace form, cosmetic spaces, trailing comma: same canonical spec.
-  spec.method = "fusion_fission  threads=2 ";
+  spec.method = "fusion_fission  nbt=800 ";
   engine.solve(problem, spec);
-  spec.method = "fusion_fission: threads=2 ,";
+  spec.method = "fusion_fission: nbt=800 ,";
   engine.solve(problem, spec);
   EXPECT_EQ(engine.cache_counters().hits, 2);
   EXPECT_EQ(engine.cache_counters().misses, 1);

@@ -322,23 +322,22 @@ TEST(EvolvePlan, DeterministicShapeAndParentSelection) {
 // ---------------------------------------------------------------- engine ---
 
 api::SolveSpec evolve_spec(int k, std::uint64_t seed, std::int64_t steps,
-                           int restarts, unsigned threads) {
+                           int restarts) {
   api::SolveSpec spec;
   spec.k = k;
   spec.seed = seed;
   spec.steps = steps;
   spec.restarts = restarts;
-  spec.threads = threads;
   spec.evolve = true;
   return spec;
 }
 
 // Acceptance criterion: for a fixed spec and archive state the evolve
-// portfolio is byte-identical at 1 worker and at 8.
+// portfolio is byte-identical at budgets of 1, 4 and 8 workers.
 TEST(EvolveEngine, ByteIdenticalAcrossThreadCounts) {
   const Graph g = family_graph("torus");
   std::vector<std::vector<int>> results;
-  for (const unsigned threads : {1u, 8u}) {
+  for (const unsigned threads : {1u, 4u, 8u}) {
     ThreadBudget budget(threads);
     api::EngineOptions options;
     options.budget = &budget;
@@ -351,10 +350,13 @@ TEST(EvolveEngine, ByteIdenticalAcrossThreadCounts) {
     prime.steps = 900;
     engine.solve(api::Problem::viewing(g), prime);
     results.push_back(assignment_of(
-        engine.solve(api::Problem::viewing(g), evolve_spec(4, 33, 700, 4, threads))
+        engine.solve(api::Problem::viewing(g), evolve_spec(4, 33, 700, 4))
             .best));
+    EXPECT_LE(budget.peak_in_use(), budget.total());
   }
   EXPECT_EQ(results[0], results[1])
+      << "evolve portfolio diverged across thread counts";
+  EXPECT_EQ(results[0], results[2])
       << "evolve portfolio diverged across thread counts";
 }
 
@@ -371,7 +373,7 @@ TEST(EvolveEngine, SequentialSubmissionsAreMonotoneNonIncreasing) {
     for (int round = 0; round < 5; ++round) {
       const auto result = engine.solve(
           problem,
-          evolve_spec(6, 500 + static_cast<std::uint64_t>(round), 1500, 3, 1));
+          evolve_spec(6, 500 + static_cast<std::uint64_t>(round), 1500, 3));
       values.push_back(result.best_value);
     }
     for (std::size_t i = 1; i < values.size(); ++i) {
@@ -391,7 +393,7 @@ TEST(EvolveEngine, ColdStartFeedsTheArchive) {
   api::Engine engine;
   const api::Problem problem = api::Problem::generated("grid2d:10,10");
   EXPECT_EQ(engine.archive_counters().elites, 0);
-  engine.solve(problem, evolve_spec(3, 5, 400, 2, 1));
+  engine.solve(problem, evolve_spec(3, 5, 400, 2));
   const evolve::ArchiveCounters c = engine.archive_counters();
   EXPECT_GE(c.elites, 1);
   EXPECT_GE(c.admitted, 1);
@@ -402,7 +404,7 @@ TEST(EvolveEngine, ColdStartFeedsTheArchive) {
   api::EngineOptions off;
   off.evolve_capacity = 0;
   api::Engine dark(off);
-  dark.solve(problem, evolve_spec(3, 5, 400, 2, 1));
+  dark.solve(problem, evolve_spec(3, 5, 400, 2));
   EXPECT_EQ(dark.archive_counters().elites, 0);
 }
 

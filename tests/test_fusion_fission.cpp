@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/generators.hpp"
 #include "metaheuristics/percolation.hpp"
 #include "test_support.hpp"
@@ -95,15 +97,28 @@ TEST(FusionFission, ReheatsWhenFrozen) {
 }
 
 TEST(FusionFission, DeterministicForSeed) {
-  const auto g = make_grid2d(7, 7);
-  FusionFissionOptions opt;
-  opt.seed = 17;
-  FusionFission a(g, 4, opt), b(g, 4, opt);
-  const auto ra = a.run(StopCondition::after_steps(3000));
-  const auto rb = b.run(StopCondition::after_steps(3000));
-  EXPECT_DOUBLE_EQ(ra.best_value, rb.best_value);
-  EXPECT_EQ(ra.fusions, rb.fusions);
-  EXPECT_EQ(ra.fissions, rb.fissions);
+  // Same seed, same bytes, on every generator family.
+  const std::pair<const char*, Graph> families[] = {
+      {"grid", make_grid2d(24, 24)},
+      {"torus", make_torus(20, 20)},
+      {"geometric", make_random_geometric(512, 0.11, 5)},
+      {"powerlaw", make_power_law(512, 6.0, 2.5, 5)}};
+  for (const auto& [name, g] : families) {
+    SCOPED_TRACE(name);
+    FusionFissionOptions opt;
+    opt.seed = 17;
+    FusionFission a(g, 8, opt), b(g, 8, opt);
+    const auto ra = a.run(StopCondition::after_steps(3000));
+    const auto rb = b.run(StopCondition::after_steps(3000));
+    ffp::testing::expect_valid_partition(ra.best, 8);
+    EXPECT_TRUE(std::ranges::equal(ra.best.assignment(),
+                                   rb.best.assignment()));
+    EXPECT_EQ(ra.best_value, rb.best_value);  // bitwise, not NEAR
+    EXPECT_EQ(ra.fusions, rb.fusions);
+    EXPECT_EQ(ra.fissions, rb.fissions);
+    EXPECT_EQ(ra.ejections, rb.ejections);
+    EXPECT_EQ(ra.reheats, rb.reheats);
+  }
 }
 
 TEST(FusionFission, LawsOffAblationStillWorks) {

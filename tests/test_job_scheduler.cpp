@@ -183,7 +183,7 @@ TEST(JobScheduler, BudgetOfOneStillCompletesParallelWork) {
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 6; ++i) {
     JobSpec spec = quick_job(100 + static_cast<std::uint64_t>(i));
-    spec.threads = 4;  // wants 4 workers; the budget grants none extra
+    spec.restarts = 4;  // wants 4 restart workers; the budget grants none
     ids.push_back(scheduler.submit(spec));
   }
   scheduler.drain();
@@ -202,7 +202,7 @@ TEST(JobScheduler, SerialVsConcurrentByteIdenticalAtBudgets148) {
   std::vector<JobSpec> specs;
   for (std::uint64_t seed = 11; seed <= 14; ++seed) {
     JobSpec spec = quick_job(seed, 3000);
-    spec.threads = 2;  // intra-run engine wants workers; grants vary
+    spec.restarts = 2;  // the portfolio wants workers; grants vary
     specs.push_back(spec);
   }
   JobSpec annealing = quick_job(21, 20000);
@@ -245,7 +245,6 @@ TEST(JobScheduler, SerialVsConcurrentByteIdenticalAtBudgets148) {
 TEST(JobScheduler, RestartsRunAPortfolioInsideTheJob) {
   JobSpec spec = quick_job(17, 1500);
   spec.restarts = 3;
-  spec.threads = 2;
 
   // Reference: the portfolio run directly, same seed stream and options.
   std::string expected;
@@ -259,8 +258,6 @@ TEST(JobScheduler, RestartsRunAPortfolioInsideTheJob) {
     request.k = spec.k;
     request.objective = spec.objective;
     request.seed = spec.seed;
-    request.threads = spec.threads;
-    request.budget = &budget;
     request.stop = StopCondition::after_steps(spec.steps);
     const auto team = PortfolioRunner(make_solver(spec.method), popt)
                           .run(*spec.graph, request);

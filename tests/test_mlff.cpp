@@ -131,23 +131,15 @@ TEST(Mlff, RefinementImprovesOnRawProjection) {
   EXPECT_LE(refined.best_value, unrefined.best_value);
 }
 
-TEST(Mlff, DeterministicAcrossThreadCountsAllFamilies) {
+TEST(Mlff, DeterministicForSeedAllFamilies) {
   for (const char* family : {"grid", "torus", "geometric", "powerlaw"}) {
     const Graph g = family_graph(family);
-    std::vector<int> reference;
-    for (const int threads : {1, 4}) {
-      MlffOptions opt;
-      opt.seed = 2006;
-      opt.threads = threads;
-      const auto res =
-          mlff_partition(g, 16, opt, StopCondition::after_steps(2000));
-      if (reference.empty()) {
-        reference = assignment_of(res.best);
-      } else {
-        EXPECT_EQ(reference, assignment_of(res.best))
-            << family << " t=" << threads;
-      }
-    }
+    MlffOptions opt;
+    opt.seed = 2006;
+    const auto stop = StopCondition::after_steps(2000);
+    EXPECT_EQ(assignment_of(mlff_partition(g, 16, opt, stop).best),
+              assignment_of(mlff_partition(g, 16, opt, stop).best))
+        << family;
   }
 }
 
@@ -167,13 +159,14 @@ TEST(Mlff, RegisteredInRegistryAndSpecRoundTrips) {
   const auto& reg = SolverRegistry::builtin();
   ASSERT_TRUE(reg.contains("mlff"));
   const auto solver = reg.create_from_spec(
-      "mlff:coarse_n=128,refine_steps=1000,matching=random,threads=2,batch=8");
+      "mlff:coarse_n=128,refine_steps=1000,matching=random");
   EXPECT_EQ(solver->name(), "mlff");
   EXPECT_TRUE(solver->is_metaheuristic());
   EXPECT_THROW(reg.create_from_spec("mlff:bogus=1"), Error);
+  EXPECT_THROW(reg.create_from_spec("mlff:threads=2"), Error);
   // Canonicalization sorts and validates the full option set.
-  EXPECT_EQ(reg.canonical_spec("mlff: threads=2 , coarse_n=128"),
-            "mlff:coarse_n=128,threads=2");
+  EXPECT_EQ(reg.canonical_spec("mlff: refine_steps=1000 , coarse_n=128"),
+            "mlff:coarse_n=128,refine_steps=1000");
 }
 
 TEST(Mlff, SolverRunHonorsRequest) {
@@ -200,14 +193,15 @@ TEST(Mlff, ApiRepeatSubmissionHitsResultCache) {
   api::Engine engine(options);
   const api::Problem problem = api::Problem::generated("grid2d:24,24");
   api::SolveSpec spec;
-  spec.method = "mlff:coarse_n=128,threads=2";
+  spec.method = "mlff:coarse_n=128,refine_steps=1000";
   spec.k = 8;
-  spec.budget_ms = 50.0;  // threads>0 → deterministic step budget derived
+  spec.restarts = 2;
+  spec.budget_ms = 50.0;  // restarts → deterministic step budget derived
 
   const auto resolved = spec.resolve();
   EXPECT_TRUE(resolved.metaheuristic);
   EXPECT_TRUE(resolved.deterministic)
-      << "mlff threads/batch keys must trigger the resolved_steps rule";
+      << "mlff portfolios must trigger the resolved_steps rule";
   EXPECT_GT(resolved.steps, 0);
 
   const auto first = engine.solve(problem, spec);
@@ -218,13 +212,13 @@ TEST(Mlff, ApiRepeatSubmissionHitsResultCache) {
 
   // Equivalent spelling of the same spec canonicalizes to the same key.
   api::SolveSpec same = spec;
-  same.method = "mlff: threads=2 , coarse_n=128";
+  same.method = "mlff: refine_steps=1000 , coarse_n=128";
   engine.solve(problem, same);
   EXPECT_EQ(engine.cache_counters().hits, 2);
 
   // A different option value is a different result identity.
   api::SolveSpec other = spec;
-  other.method = "mlff:coarse_n=256,threads=2";
+  other.method = "mlff:coarse_n=256,refine_steps=1000";
   engine.solve(problem, other);
   EXPECT_EQ(engine.cache_counters().misses, 2);
 }

@@ -62,46 +62,5 @@ TEST(ParallelFor, ZeroIterations) {
   EXPECT_EQ(touched, 0);
 }
 
-TEST(TaskGroup, WaitJoinsOnlyOwnTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> mine{0}, other{0};
-  TaskGroup a(pool), b(pool);
-  for (int i = 0; i < 50; ++i) {
-    a.submit([&mine] { ++mine; });
-    b.submit([&other] { ++other; });
-  }
-  a.wait();
-  EXPECT_EQ(mine.load(), 50);
-  b.wait();
-  EXPECT_EQ(other.load(), 50);
-}
-
-TEST(TaskGroup, WaitOnEmptyGroupReturns) {
-  ThreadPool pool(1);
-  TaskGroup group(pool);
-  EXPECT_NO_THROW(group.wait());
-}
-
-TEST(TaskGroup, PropagatesTaskExceptionOnce) {
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  group.submit([] { throw std::runtime_error("group task failed"); });
-  EXPECT_THROW(group.wait(), std::runtime_error);
-  EXPECT_NO_THROW(group.wait());
-  // The pool itself stays clean: group errors never reach wait_idle.
-  EXPECT_NO_THROW(pool.wait_idle());
-}
-
-TEST(TaskGroup, ErrorInOneGroupDoesNotLeakIntoAnother) {
-  ThreadPool pool(2);
-  TaskGroup bad(pool), good(pool);
-  bad.submit([] { throw std::runtime_error("bad group"); });
-  std::atomic<int> count{0};
-  good.submit([&count] { ++count; });
-  good.wait();
-  EXPECT_EQ(count.load(), 1);
-  EXPECT_THROW(bad.wait(), std::runtime_error);
-}
-
 }  // namespace
 }  // namespace ffp

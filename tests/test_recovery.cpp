@@ -116,6 +116,22 @@ TEST(Recovery, JournaledJobsAreResubmittedOnRecovery) {
                       "queue_ttl_ms=0\n"
                       "checkpoint_every_ms=0\n"
                       "warm_start=0\n");
+    // Older journals carry the want of the removed intra-run engine; the
+    // job still replays, as the serial spec.
+    journal.submitted(2,
+                      "graph=grid2d:8,8\n"
+                      "method=fusion_fission\n"
+                      "k=3\n"
+                      "objective=mcut\n"
+                      "seed=12\n"
+                      "steps=600\n"
+                      "budget_ms=5000\n"
+                      "restarts=1\n"
+                      "threads=2\n"
+                      "priority=0\n"
+                      "queue_ttl_ms=0\n"
+                      "checkpoint_every_ms=0\n"
+                      "warm_start=0\n");
     // Journal destructor does NOT write a terminal record — exactly the
     // on-disk state a kill -9 between submit and finish leaves.
   }
@@ -123,20 +139,22 @@ TEST(Recovery, JournaledJobsAreResubmittedOnRecovery) {
   api::EngineOptions options;
   options.state_dir = dir;
   api::Engine engine(options);
-  EXPECT_EQ(engine.recovered_jobs(), 1u);
+  EXPECT_EQ(engine.recovered_jobs(), 2u);
   engine.drain();
 
-  // The recovered job ran to completion and persisted: the identical
-  // direct submission is now a cache hit, not a second solve.
-  api::SolveSpec spec;
-  spec.method = "fusion_fission";
-  spec.k = 3;
-  spec.seed = 11;
-  spec.steps = 600;
-  const api::SolveHandle handle =
-      engine.submit(api::Problem::generated("grid2d:8,8"), spec);
-  EXPECT_TRUE(handle.cached());
-  EXPECT_EQ(handle.wait().state, JobState::Done);
+  // The recovered jobs ran to completion and persisted: the identical
+  // direct submissions are now cache hits, not second solves.
+  for (const std::uint64_t seed : {11u, 12u}) {
+    api::SolveSpec spec;
+    spec.method = "fusion_fission";
+    spec.k = 3;
+    spec.seed = seed;
+    spec.steps = 600;
+    const api::SolveHandle handle =
+        engine.submit(api::Problem::generated("grid2d:8,8"), spec);
+    EXPECT_TRUE(handle.cached()) << "seed " << seed;
+    EXPECT_EQ(handle.wait().state, JobState::Done);
+  }
 }
 
 TEST(Recovery, UnparsableJournalPayloadsAreSkippedNotFatal) {

@@ -237,7 +237,7 @@ TEST(ServiceSession, SerialVsConcurrentSubmissionByteIdentical) {
     return std::string(R"({"op":"submit","id":"j)") + std::to_string(i) +
            R"(","graph_file":")" + ::testing::TempDir() +
            R"(/ffp_det_test.graph","k":5,"steps":2500,"seed":)" +
-           std::to_string(40 + i) + R"(,"threads":2})";
+           std::to_string(40 + i) + R"(,"restarts":2})";
   };
   const auto result_line = [](int i) {
     return std::string(R"({"op":"result","id":"j)") + std::to_string(i) +
@@ -535,6 +535,24 @@ TEST(ServiceProtocol, RestartsFieldValidatedAndAccepted) {
   EXPECT_EQ(h.last_event(), "ack");
   h.feed(R"({"op":"result","id":"r"})");
   EXPECT_EQ(h.last_event(), "result");
+}
+
+// The removed intra-run engine's knobs are unknown keys: a submit carrying
+// "threads", or a method spec with a threads= option, is a bad_request
+// naming it, and nothing reaches the scheduler.
+TEST(ServiceProtocol, RejectsTheRemovedThreadsKnobs) {
+  Harness h;
+  for (const std::string extra :
+       {R"("threads":2)", R"("method":"fusion_fission:threads=2")"}) {
+    h.feed(
+        R"({"op":"submit","id":"t","graph":{"n":4,"edges":[[0,1],[1,2],[2,3]]},"k":2,"steps":300,)" +
+        extra + "}");
+    EXPECT_EQ(h.last_event(), "error") << extra;
+    EXPECT_EQ(h.last().find("code")->as_string(), "bad_request") << extra;
+    EXPECT_NE(h.last_message().find("threads"), std::string::npos)
+        << h.last_message();
+  }
+  EXPECT_EQ(h.host.engine().scheduler().jobs_completed(), 0);
 }
 
 // Status pins the serving counters (event loop + migration observability):

@@ -47,9 +47,9 @@ TEST(SolverOptions, RejectsMalformedPairs) {
 }
 
 TEST(SolverOptions, WhitespaceSeparatedPairsAndCanonicalText) {
-  const auto o = SolverOptions::parse("threads=2 batch=1");
-  EXPECT_EQ(o.get_int("threads", 0), 2);
-  EXPECT_EQ(o.get_int("batch", 0), 1);
+  const auto o = SolverOptions::parse("nbt=800 tmax=2");
+  EXPECT_EQ(o.get_int("nbt", 0), 800);
+  EXPECT_EQ(o.get_int("tmax", 0), 2);
   // Duplicates are rejected across separator styles too.
   EXPECT_THROW(SolverOptions::parse("a=1 a=2"), Error);
   EXPECT_THROW(SolverOptions::parse("a=1, a=2"), Error);
@@ -211,11 +211,11 @@ TEST(Registry, CanonicalSpecNormalizesEquivalentForms) {
   EXPECT_EQ(reg.canonical_spec("fusion_fission:"), "fusion_fission");
   // Key order, cosmetic whitespace, trailing commas, and the whitespace
   // name/options separator all collapse to one canonical string.
-  const std::string canonical = "fusion_fission:batch=4,threads=2";
-  EXPECT_EQ(reg.canonical_spec("fusion_fission:threads=2,batch=4"), canonical);
-  EXPECT_EQ(reg.canonical_spec("fusion_fission: batch=4 , threads=2 ,"),
+  const std::string canonical = "fusion_fission:nbt=800,tmax=2";
+  EXPECT_EQ(reg.canonical_spec("fusion_fission:tmax=2,nbt=800"), canonical);
+  EXPECT_EQ(reg.canonical_spec("fusion_fission: nbt=800 , tmax=2 ,"),
             canonical);
-  EXPECT_EQ(reg.canonical_spec("fusion_fission threads=2 batch=4"), canonical);
+  EXPECT_EQ(reg.canonical_spec("fusion_fission tmax=2 nbt=800"), canonical);
   EXPECT_EQ(reg.canonical_spec("spectral:kl=true,engine=rqi"),
             "spectral:engine=rqi,kl=true");
 }
@@ -224,15 +224,16 @@ TEST(Registry, CanonicalSpecValidatesEndToEnd) {
   const auto& reg = SolverRegistry::builtin();
   EXPECT_THROW(reg.canonical_spec("no_such_solver"), Error);
   EXPECT_THROW(reg.canonical_spec("fusion_fission:bogus_key=1"), Error);
-  EXPECT_THROW(reg.canonical_spec("fusion_fission:threads=1,threads=2"),
-               Error);
+  EXPECT_THROW(reg.canonical_spec("fusion_fission:threads=2"), Error);
+  EXPECT_THROW(reg.canonical_spec("fusion_fission:batch=16"), Error);
+  EXPECT_THROW(reg.canonical_spec("fusion_fission:nbt=1,nbt=2"), Error);
   EXPECT_THROW(reg.canonical_spec("spectral:engine=warp"), Error);  // bad value
   // A multi-word non-spec stays one (unknown) name, not a key=value error.
   EXPECT_THROW(reg.canonical_spec("Fusion Fission"), Error);
 }
 
 TEST(Registry, WhitespaceSpecFormResolves) {
-  const auto solver = make_solver("fusion_fission threads=2");
+  const auto solver = make_solver("fusion_fission nbt=800");
   EXPECT_EQ(solver->name(), "fusion_fission");
 }
 

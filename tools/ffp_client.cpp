@@ -49,7 +49,6 @@ std::string submit_line(const ffp::ArgParser& args, const std::string& id,
   out += ",\"k\":" + std::to_string(args.get_int("k"));
   out += ",\"seed\":" + std::to_string(seed);
   out += ",\"steps\":" + std::to_string(args.get_int("steps"));
-  out += ",\"threads\":" + std::to_string(args.get_int("threads"));
   out += ",\"priority\":" + std::to_string(args.get_int("priority"));
   if (args.get_int("restarts") > 1) {
     out += ",\"restarts\":" + std::to_string(args.get_int("restarts"));
@@ -123,7 +122,6 @@ int main(int argc, char** argv) {
       .flag("objective", "mcut", "cut|ncut|mcut|rcut")
       .flag("seed", "1", "seed of job j0; job ji uses seed+i")
       .flag("steps", "10000", "deterministic step budget per job")
-      .flag("threads", "0", "intra-run worker want per job")
       .flag("priority", "0", "job priority (higher runs first)")
       .flag("restarts", "1", "restart portfolio width per job")
       .flag("queue-ttl-ms", "0", "per-job queue TTL (0 = none)")

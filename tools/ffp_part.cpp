@@ -10,14 +10,12 @@
 // atc:<seed>, grid2d:64,64, geometric:1000,0.055,3, ... With --list it
 // prints the available methods and solvers.
 //
-// --threads T parallelizes. With --restarts N it fans N independently
-// seeded runs across T portfolio workers and keeps the best; with a single
-// restart it goes to the solver itself — fusion-fission runs its batched
-// intra-run engine on T speculation workers (the two levels never share a
-// pool). Either way the result is bit-identical for a fixed seed
-// regardless of thread count: whenever parallelism is requested,
-// metaheuristics run under a deterministic *step* budget derived from
-// --budget-ms (override with --steps) — the rule lives in
+// --restarts N fans N independently seeded runs across portfolio workers
+// and keeps the best; --threads T sizes the process thread budget those
+// workers lease from. A single run is serial. The result is bit-identical
+// for a fixed seed regardless of --threads: with restarts, metaheuristics
+// run under a deterministic *step* budget derived from --budget-ms
+// (override with --steps) — the rule lives in
 // api::SolveSpec::resolved_steps(), shared with the daemon, the benches
 // and every embedder.
 #include <cstdio>
@@ -87,12 +85,9 @@ int main(int argc, char** argv) {
       .flag("steps", "0", "metaheuristic step budget (0 = derive from budget)")
       .flag("restarts", "1", "portfolio restarts (parallel multi-start)")
       .flag("threads", "0",
-            "process-wide worker budget. All levels lease from it: with "
-            "--restarts R the portfolio takes min(R, budget) restart "
-            "workers and each restart's intra-run engine leases whatever "
-            "remains, so restarts x engine threads never exceeds the "
-            "budget (total workers <= --threads, not R x T). 0 = hardware "
-            "concurrency for the portfolio, serial engine otherwise")
+            "process-wide worker budget: with --restarts R the portfolio "
+            "runs min(R, budget) restarts at once. Never changes the "
+            "result. 0 = hardware concurrency")
       .flag("seed", "2006", "random seed")
       .flag("out", "", "partition output file (optional)")
       .toggle("report", "print the full per-part report")
@@ -121,12 +116,9 @@ int main(int argc, char** argv) {
     const std::int64_t threads_arg = args.get_int("threads");
     FFP_CHECK(threads_arg >= 0, "--threads must be >= 0");
 
-    // Both parallelism levels lease from one process-wide budget sized by
-    // --threads: the portfolio takes its restart workers first, and each
-    // restart's intra-run engine leases what remains — so the old R×T
-    // oversubscription (restarts × speculation workers) cannot happen.
-    // The partition is budget-independent: engine schedules are fixed by
-    // the request, and leases only decide where the work runs.
+    // The portfolio leases its restart workers from the process budget
+    // sized by --threads. The partition is budget-independent: leases only
+    // decide where the restarts run.
     ffp::ThreadBudget::set_process_total(
         static_cast<unsigned>(threads_arg));
 
@@ -138,7 +130,6 @@ int main(int argc, char** argv) {
     spec.steps = args.get_int("steps");
     spec.budget_ms = args.get_double("budget-ms");
     spec.restarts = static_cast<int>(args.get_int("restarts"));
-    spec.threads = static_cast<unsigned>(threads_arg);
     FFP_CHECK(spec.restarts >= 1, "--restarts must be >= 1");
 
     const ffp::api::ResolvedSpec resolved = spec.resolve();

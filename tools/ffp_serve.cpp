@@ -16,9 +16,10 @@
 // only TCP transport.
 //
 // Concurrency model: --runners jobs execute at once across ALL clients,
-// and every solve leases its workers from the process-wide ThreadBudget
-// capped by --budget — so clients × runners × per-job threads can never
-// exceed the budget no matter what anyone asks for. Deterministic repeat
+// and every runner and restart portfolio leases its workers from the
+// process-wide ThreadBudget capped by --budget — so clients × runners ×
+// per-job restarts can never exceed the budget no matter what anyone asks
+// for. Deterministic repeat
 // submissions are answered from the --cache-entries LRU (status replies
 // carry hit/miss counters). Input is untrusted: requests are strictly
 // validated, graph files go through the hardened readers under
