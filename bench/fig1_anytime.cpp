@@ -36,10 +36,10 @@ int main() {
         m.name == "Percolation") {
       continue;
     }
-    MethodContext ctx;
-    ctx.k = 32;
-    ctx.seed = seed;
-    const auto p = m.run(core.graph, ctx);
+    api::SolveSpec spec;
+    spec.k = 32;
+    spec.seed = seed;
+    const auto p = m.run(core.graph, spec);
     const double mcut = objective(ObjectiveKind::MinMaxCut).evaluate(p);
     if (m.name.rfind("Multilevel", 0) == 0) {
       best_multilevel = std::min(best_multilevel, mcut);
@@ -54,13 +54,12 @@ int main() {
   std::vector<AnytimeRecorder> recorders(3);
   for (int i = 0; i < 3; ++i) {
     const auto& m = method_by_name(methods, names[i]);
-    MethodContext ctx;
-    ctx.k = 32;
-    ctx.seed = seed;
-    ctx.objective = ObjectiveKind::MinMaxCut;
-    ctx.budget_ms = budget_ms;
-    ctx.recorder = &recorders[static_cast<std::size_t>(i)];
-    m.run(core.graph, ctx);
+    api::SolveSpec spec;
+    spec.k = 32;
+    spec.seed = seed;
+    spec.objective = ObjectiveKind::MinMaxCut;
+    spec.budget_ms = budget_ms;
+    m.run(core.graph, spec, &recorders[static_cast<std::size_t>(i)]);
   }
 
   // Log-spaced checkpoints like the paper's axis (1s … 60m → scaled).

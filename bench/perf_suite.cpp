@@ -263,20 +263,19 @@ int main(int argc, char** argv) {
       // above is byte-identical to pre-persistence builds; this row bounds
       // what enabling costs (the <2% gate bench_diff.py holds it to).
       {
-        FusionFissionOptions copt;
-        copt.seed = seed;
-        copt.checkpoint_every_ms = 250;
         const std::string ckpath =
             std::string("bench_ckpt_") + pt.family + ".rec";
-        copt.checkpoint_sink = [&ckpath, k = pt.k](
-                                   const std::vector<int>& parts,
-                                   double value) {
+        RunHooks hooks;
+        hooks.checkpoint_every_ms = 250;
+        hooks.checkpoint_sink = [&ckpath, k = pt.k](
+                                    const std::vector<int>& parts,
+                                    double value) {
           persist::save_checkpoint(ckpath,
                                    persist::Checkpoint{k, value, parts});
         };
-        FusionFission ckff(g, pt.k, copt);
-        const double ck_sec = best_seconds(
-            [&] { ckff.run(StopCondition::after_steps(pt.steps)); });
+        const double ck_sec = best_seconds([&] {
+          ff.run(StopCondition::after_steps(pt.steps), nullptr, hooks);
+        });
         persist::remove_file(ckpath);
         record(point_name("ff_e2e_ckpt_sec", pt.family, g.num_vertices(),
                           pt.k),

@@ -75,15 +75,15 @@ int main() {
                     "paper Cut", "paper Ncut", "paper Mcut"});
   for (std::size_t i = 0; i < methods.size(); ++i) {
     const auto& m = methods[i];
-    MethodContext ctx;
-    ctx.k = 32;
-    ctx.seed = seed;
-    ctx.objective = ObjectiveKind::MinMaxCut;  // metaheuristic rows only
-    ctx.budget_ms = budget;
+    api::SolveSpec spec;
+    spec.k = 32;
+    spec.seed = seed;
+    spec.objective = ObjectiveKind::MinMaxCut;  // metaheuristic rows only
+    spec.budget_ms = budget;
     Partition p(core.graph, 1);
     // One shared clock path (util/timer.hpp) for every reported duration,
     // so this table agrees with the perf-suite JSON.
-    const double seconds = timed_seconds([&] { p = m.run(core.graph, ctx); });
+    const double seconds = timed_seconds([&] { p = m.run(core.graph, spec); });
     const double cut = evaluate(p, ObjectiveKind::Cut) / 1000.0;
     const double ncut = evaluate(p, ObjectiveKind::NormalizedCut);
     const double mcut = evaluate(p, ObjectiveKind::MinMaxCut);

@@ -11,11 +11,13 @@
 //
 // Problem      — graph from file / inline CSR / named generator, validated
 //                through the hardened io limits, content-digested.
-// SolveSpec    — registry method spec + k/objective/seed/budget/restarts;
-//                one struct instead of SolverRequest + PortfolioRunner
-//                wiring at every call site.
-// Engine       — async submit/solve over the service JobScheduler and the
-//                process ThreadBudget, with an LRU result cache riding on
+// SolveSpec    — the public request: registry method spec + k/objective/
+//                seed/budget/restarts/durable switches, validated by
+//                resolve(); callers never build a SolverRequest.
+// Engine       — async submit/solve: resolves the spec once into the
+//                internal request (a JobSpec carrying one SolverRequest)
+//                and runs it on the service JobScheduler over the process
+//                ThreadBudget, with an LRU result cache riding on
 //                deterministic solves.
 // SolveHandle  — wait / poll / cancel (anytime best-so-far) / streamed
 //                improvements for one submitted solve.

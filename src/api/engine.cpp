@@ -339,17 +339,20 @@ SolveHandle Engine::submit(const Problem& problem, const SolveSpec& spec,
     }
   }
 
+  // The one internal request: built here, copied (never re-derived) by the
+  // scheduler and the portfolio. A resolved step budget of 0 means the
+  // solve runs on the wall clock.
   JobSpec job;
   job.graph = problem.share();
-  job.method = spec.method;
   job.solver = resolved.solver;  // spec resolved once, reused by the runner
-  job.k = spec.k;
-  job.objective = spec.objective;
-  job.seed = spec.seed;
-  job.steps = resolved.steps;
-  job.budget_ms = spec.budget_ms;
-  job.priority = spec.priority;
+  job.request.k = spec.k;
+  job.request.objective = spec.objective;
+  job.request.seed = spec.seed;
+  job.request.stop = resolved.steps > 0
+                         ? StopCondition::after_steps(resolved.steps)
+                         : StopCondition::after_millis(spec.budget_ms);
   job.restarts = spec.restarts;
+  job.priority = spec.priority;
   job.queue_ttl_ms = spec.queue_ttl_ms;
 
   // Evolutionary portfolio wiring (src/evolve/). Only solvers that declare
@@ -395,11 +398,12 @@ SolveHandle Engine::submit(const Problem& problem, const SolveSpec& spec,
       const std::string ckpath = persist::checkpoint_path(
           impl_->state_dir + "/checkpoints", problem.digest(),
           spec.checkpoint_key(resolved));
+      RunHooks& hooks = job.request.hooks;
       if (spec.checkpoint_every_ms > 0) {
-        job.checkpoint_every_ms = spec.checkpoint_every_ms;
-        job.checkpoint_sink = [ckpath, k = spec.k](
-                                  const std::vector<int>& parts,
-                                  double value) {
+        hooks.checkpoint_every_ms = spec.checkpoint_every_ms;
+        hooks.checkpoint_sink = [ckpath, k = spec.k](
+                                    const std::vector<int>& parts,
+                                    double value) {
           // Checkpointing is an optimization, never an obligation: a
           // failed write must not fail the solve it observes.
           try {
@@ -414,9 +418,9 @@ SolveHandle Engine::submit(const Problem& problem, const SolveSpec& spec,
         if (ck.has_value() && ck->k == spec.k &&
             ck->assignment.size() ==
                 static_cast<std::size_t>(problem.graph().num_vertices())) {
-          job.warm_start = std::make_shared<std::vector<int>>(
+          hooks.warm_start = std::make_shared<std::vector<int>>(
               std::move(ck->assignment));
-          job.warm_start_value = ck->value;
+          hooks.warm_start_value = ck->value;
         }
         // No (usable) checkpoint: cold start, by contract.
       }

@@ -1,10 +1,11 @@
 // api::SolveSpec — everything that identifies ONE solve besides the graph:
 // registry method spec, k, objective, seed, budget (deterministic steps or
-// wall clock), portfolio restarts, and queue priority. This struct
-// replaces the raw SolverRequest + PortfolioRunner wiring every tool,
-// bench and example used to carry: the facade maps it onto a service
-// JobSpec, so the CLI, the daemon, and embedded callers all run the
-// identical pipeline.
+// wall clock), portfolio restarts, queue priority, and the durable-state
+// switches. It is the public request every tool, bench and example
+// builds. Engine::submit resolves it once — resolve() validates it,
+// constructs the solver and fixes the step budget — and turns it into the
+// internal one: a JobSpec carrying one SolverRequest. So the CLI, the
+// daemon, and embedded callers all run the identical pipeline.
 //
 // Determinism is part of the spec, not the call site: resolved_steps()
 // holds the ONE copy of the old ffp_part rule — whenever parallelism is in
@@ -80,7 +81,10 @@ struct SolveSpec {
   /// determinism rule — `steps` when set, else budget_ms * kStepsPerMs
   /// when the spec asks for restarts > 1 and the method is a
   /// metaheuristic, else 0 (wall clock) — and the determinism verdict.
-  /// Throws ffp::Error on specs that do not resolve.
+  /// Throws ffp::Error, naming the field, when k < 1, restarts < 1,
+  /// steps < 0, budget_ms / queue_ttl_ms / checkpoint_every_ms is
+  /// negative or NaN, or a derived step budget does not fit in int64; and
+  /// on method specs that do not resolve.
   ResolvedSpec resolve() const;
 
   /// Convenience forms of resolve() for cold paths and tests.

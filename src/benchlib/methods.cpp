@@ -35,21 +35,15 @@ const std::vector<std::pair<std::string, std::string>>& table1_specs() {
 
 }  // namespace
 
-Partition MethodSpec::run(const Graph& g, const MethodContext& ctx) const {
+Partition MethodSpec::run(const Graph& g, api::SolveSpec spec,
+                          AnytimeRecorder* recorder) const {
   // Every Table-1 row is one facade solve: the benches exercise the exact
   // pipeline the CLI and the daemon serve.
-  api::SolveSpec spec;
   spec.method = solver_spec;
-  spec.k = ctx.k;
-  spec.objective = ctx.objective;
-  spec.budget_ms = ctx.budget_ms;
-  spec.seed = ctx.seed;
   api::ImprovementFn stream;
-  if (ctx.recorder != nullptr) {
-    ctx.recorder->start();
-    stream = [recorder = ctx.recorder](double, double value) {
-      recorder->record(value);
-    };
+  if (recorder != nullptr) {
+    recorder->start();
+    stream = [recorder](double, double value) { recorder->record(value); };
   }
   return api::Engine::shared()
       .solve(api::Problem::viewing(g), spec, std::move(stream))
@@ -60,9 +54,7 @@ std::vector<MethodSpec> table1_methods() {
   std::vector<MethodSpec> methods;
   methods.reserve(table1_specs().size());
   for (const auto& [name, spec] : table1_specs()) {
-    SolverPtr solver = make_solver(spec);
-    const bool meta = solver->is_metaheuristic();
-    methods.push_back({name, spec, meta, std::move(solver)});
+    methods.push_back({name, spec, make_solver(spec)->is_metaheuristic()});
   }
   return methods;
 }

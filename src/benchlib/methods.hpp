@@ -7,9 +7,11 @@
 // Every row is built from the solver registry (solver/registry.hpp): a row
 // is a paper label plus a registry spec string, so the construction logic
 // lives in exactly one place and `ffp_part --method <row>` and the benches
-// run the identical solver. Spectral/multilevel rows carry the final k-way
-// greedy refinement — the analog of Chaco's REFINE_PARTITION, which the
-// paper enables ("we use the REFINE PARTITION parameter which increases
+// run the identical solver. A row runs as one facade solve: the caller
+// fills an api::SolveSpec (k, objective, seed, budget) and the row sets
+// its method. Spectral/multilevel rows carry the final k-way greedy
+// refinement — the analog of Chaco's REFINE_PARTITION, which the paper
+// enables ("we use the REFINE PARTITION parameter which increases
 // considerably the quality of results"); "KL" rows additionally refine
 // inside the recursion.
 #pragma once
@@ -17,30 +19,23 @@
 #include <string>
 #include <vector>
 
+#include "api/solve_spec.hpp"
 #include "graph/graph.hpp"
 #include "metaheuristics/anytime.hpp"
-#include "partition/objectives.hpp"
 #include "partition/partition.hpp"
-#include "solver/solver.hpp"
 
 namespace ffp {
-
-struct MethodContext {
-  int k = 32;
-  ObjectiveKind objective = ObjectiveKind::MinMaxCut;  ///< metaheuristics only
-  double budget_ms = 1500.0;                           ///< metaheuristics only
-  std::uint64_t seed = 1;
-  AnytimeRecorder* recorder = nullptr;                 ///< optional
-};
 
 struct MethodSpec {
   std::string name;           ///< the paper's row label
   std::string solver_spec;    ///< registry spec this row is built from
   bool is_metaheuristic;      ///< true: budgeted + objective-aware
-  SolverPtr solver;           ///< the constructed solver
 
-  /// Runs the row's solver under the context's budget/objective/seed.
-  Partition run(const Graph& g, const MethodContext& ctx) const;
+  /// Solves `g` under `spec` with spec.method replaced by this row's
+  /// registry spec. The recorder, when given, is started and then fed
+  /// every improvement.
+  Partition run(const Graph& g, api::SolveSpec spec,
+                AnytimeRecorder* recorder = nullptr) const;
 };
 
 /// All 17 rows of Table 1, in the paper's order.

@@ -41,8 +41,10 @@ struct FusionFission::State {
   /// record note_partition keeps without a map lookup in the hot loop; run()
   /// converts it into FusionFissionResult::best_by_part_count at the end.
   std::vector<double> best_by_p;
-  // Checkpoint pump (options.checkpoint_sink): armed once in run(), so
-  // the disabled path is a single branch in the hot loops.
+  // The run's hooks; the checkpoint pump reads its interval and sink here.
+  // ckpt_on is armed once in run(), so the disabled path is a single
+  // branch in the hot loops.
+  const RunHooks* hooks = nullptr;
   bool ckpt_on = false;
   WallTimer ckpt_timer;
   double ckpt_emitted = std::numeric_limits<double>::infinity();
@@ -336,7 +338,7 @@ void FusionFission::do_fission(State& s, int atom, Rng& rng) {
 
 void FusionFission::maybe_checkpoint(State& s) {
   if (s.ckpt_timer.elapsed_millis() <
-      static_cast<double>(options_.checkpoint_every_ms)) {
+      static_cast<double>(s.hooks->checkpoint_every_ms)) {
     return;
   }
   flush_checkpoint(s);
@@ -351,7 +353,7 @@ void FusionFission::flush_checkpoint(State& s) {
   Partition snapshot = *s.best_at_k;
   snapshot.compact();
   const auto parts = snapshot.assignment();
-  options_.checkpoint_sink(std::vector<int>(parts.begin(), parts.end()),
+  s.hooks->checkpoint_sink(std::vector<int>(parts.begin(), parts.end()),
                            s.best_at_k_value);
   s.ckpt_emitted = s.best_at_k_value;
 }
@@ -471,7 +473,8 @@ Partition FusionFission::initialize() {
 }
 
 FusionFissionResult FusionFission::run(const StopCondition& stop,
-                                       AnytimeRecorder* recorder) {
+                                       AnytimeRecorder* recorder,
+                                       const RunHooks& hooks) {
   FusionFissionResult result{Partition(*g_, 1), 0.0, 0.0, {}, 0, 0, 0, 0, 0};
 
   // Algorithm 2: build the starting near-k molecule from singletons
@@ -483,12 +486,12 @@ FusionFissionResult FusionFission::run(const StopCondition& stop,
   // resumed run monotone with respect to its checkpoint.
   if (recorder != nullptr) recorder->start();
   Partition start = Partition(*g_, 1);
-  if (options_.warm_start != nullptr) {
-    FFP_CHECK(static_cast<VertexId>(options_.warm_start->size()) ==
+  if (hooks.warm_start != nullptr) {
+    FFP_CHECK(static_cast<VertexId>(hooks.warm_start->size()) ==
                   g_->num_vertices(),
-              "warm_start assignment covers ", options_.warm_start->size(),
+              "warm_start assignment covers ", hooks.warm_start->size(),
               " vertices, graph has ", g_->num_vertices());
-    start = Partition::from_assignment(*g_, *options_.warm_start);
+    start = Partition::from_assignment(*g_, *hooks.warm_start);
   } else {
     start = initialize();
   }
@@ -497,30 +500,30 @@ FusionFissionResult FusionFission::run(const StopCondition& stop,
           options_.law_delta, options_.seed);
   s.result = &result;
   s.temperature = options_.tmax;
-  s.ckpt_on =
-      options_.checkpoint_sink != nullptr && options_.checkpoint_every_ms > 0;
+  s.hooks = &hooks;
+  s.ckpt_on = hooks.checkpoint_sink != nullptr && hooks.checkpoint_every_ms > 0;
   if (options_.choice_term_bias > 0.0) s.tracker.track_aux(&leak_ratio_term);
   note_partition(s, recorder);
-  if (options_.warm_start != nullptr && s.best_at_k.has_value() &&
-      options_.warm_start_value < s.best_at_k_value) {
+  if (hooks.warm_start != nullptr && s.best_at_k.has_value() &&
+      hooks.warm_start_value < s.best_at_k_value) {
     // Same partition, two float renderings of its objective (incremental
     // tracker of the writing run vs this run's fresh accumulation): keep
     // the checkpointed one so a resume can never report an ulp worse.
-    s.best_at_k_value = options_.warm_start_value;
+    s.best_at_k_value = hooks.warm_start_value;
   }
-  if (options_.incumbent != nullptr) {
+  if (hooks.incumbent != nullptr) {
     // The memetic-crossover cap: best-at-k starts at the incumbent (the
     // better parent), so the result is min(search, incumbent) whatever
     // the overlay start evolves into. Adopt the lower of the archived
     // value and a fresh evaluation — same ulp discipline as warm starts.
-    FFP_CHECK(static_cast<VertexId>(options_.incumbent->size()) ==
+    FFP_CHECK(static_cast<VertexId>(hooks.incumbent->size()) ==
                   g_->num_vertices(),
-              "incumbent assignment covers ", options_.incumbent->size(),
+              "incumbent assignment covers ", hooks.incumbent->size(),
               " vertices, graph has ", g_->num_vertices());
-    Partition inc = Partition::from_assignment(*g_, *options_.incumbent);
+    Partition inc = Partition::from_assignment(*g_, *hooks.incumbent);
     if (inc.num_nonempty_parts() == k_) {
       double value = objective(options_.objective).evaluate(inc);
-      if (options_.incumbent_value < value) value = options_.incumbent_value;
+      if (hooks.incumbent_value < value) value = hooks.incumbent_value;
       if (value < s.best_at_k_value) {
         s.best_at_k_value = value;
         s.best_at_k = std::move(inc);

@@ -29,6 +29,12 @@
 // simplified loop (no temperature, no nucleon-triggered fission, a
 // fusion-biased choice) until the atom count first reaches k.
 //
+// FusionFissionOptions hold only the algorithm's parameters, the objective
+// and the seed, so one engine serves any number of runs. What differs per
+// run comes with run(): the stop condition, the anytime recorder, and the
+// RunHooks (metaheuristics/anytime.hpp). A warm start replaces Algorithm 2,
+// an incumbent seeds best-at-k, and a checkpoint sink observes best-at-k.
+//
 // Implementation: the molecule lives inside an ObjectiveTracker
 // (partition/objective_tracker.hpp), so the objective value and the energy
 // are running quantities — step(), do_fusion/do_fission's law updates, and
@@ -44,8 +50,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -89,41 +93,6 @@ struct FusionFissionOptions {
   ScalingKind scaling = ScalingKind::BindingEnergy;
 
   std::uint64_t seed = 17;
-
-  // Durable-solve hooks (persist/). FF is anytime by construction — the
-  // loop operates on ANY partition, not just the Algorithm 2 start — so
-  // resume is just a different initialization and checkpointing is just a
-  // different observer. Both default off and cost nothing when off.
-  /// Skip Algorithm 2 and build the starting molecule from this
-  /// assignment (one part id per vertex; must cover every vertex). When
-  /// it has exactly k parts it also seeds best-at-k, so the run can never
-  /// report a worse result than the partition it resumed from.
-  std::shared_ptr<const std::vector<int>> warm_start;
-  /// The checkpointed objective value of `warm_start` (see
-  /// SolverRequest::warm_start_value): when it is LOWER than what the
-  /// incremental tracker computes for the restored partition — float
-  /// summation order can differ by an ulp — best-at-k adopts it, keeping
-  /// the resume contract exact. Infinity = unknown.
-  double warm_start_value = std::numeric_limits<double>::infinity();
-  /// Memetic incumbent (evolve crossover's better parent): a full k-part
-  /// assignment whose objective CAPS the result. Unlike warm_start it
-  /// does not replace the starting molecule — the run still starts from
-  /// warm_start (the parents' overlay) — it seeds best-at-k directly, so
-  /// a crossover offspring can never report worse than its better parent
-  /// no matter where the search wanders. Ignored when its part count is
-  /// not exactly k (the guarantee would be meaningless).
-  std::shared_ptr<const std::vector<int>> incumbent;
-  /// The archived objective value of `incumbent`; the lower of it and the
-  /// fresh re-evaluation is adopted (same ulp rule as warm_start_value).
-  double incumbent_value = std::numeric_limits<double>::infinity();
-  /// With checkpoint_sink set and checkpoint_every_ms > 0, the best-at-k
-  /// partition (compacted assignment + objective value) is pushed through
-  /// the sink at most once per interval — and once more at the end of the
-  /// run — but only when it improved since the last push. The sink runs
-  /// on the solve thread; persist::save_checkpoint is the intended body.
-  std::int64_t checkpoint_every_ms = 0;
-  std::function<void(const std::vector<int>& assignment, double value)>
-      checkpoint_sink;
 };
 
 struct FusionFissionResult {
@@ -143,9 +112,11 @@ class FusionFission {
  public:
   FusionFission(const Graph& g, int k, FusionFissionOptions options);
 
-  /// Full run: Algorithm 2 initialization, then Algorithm 1 until `stop`.
+  /// Full run: Algorithm 2 initialization (or the warm start in `hooks`),
+  /// then Algorithm 1 until `stop`.
   FusionFissionResult run(const StopCondition& stop,
-                          AnytimeRecorder* recorder = nullptr);
+                          AnytimeRecorder* recorder = nullptr,
+                          const RunHooks& hooks = {});
 
   /// Algorithm 2 only (exposed for tests/benches): a near-k partition grown
   /// from singletons.
@@ -172,7 +143,7 @@ class FusionFission {
   /// low_temperature (Algorithm 1): back to tmax, restart from the best.
   void reheat(State& s);
   void note_partition(State& s, AnytimeRecorder* recorder);
-  /// Checkpoint pump: emits best-at-k through options_.checkpoint_sink
+  /// Checkpoint pump: emits best-at-k through the run's checkpoint_sink
   /// when the interval elapsed and the value improved. Callers gate on
   /// State::ckpt_on so the disabled path pays one branch.
   void maybe_checkpoint(State& s);

@@ -7,7 +7,7 @@
 // atom, so the offspring search begins from structure both parents agree
 // on and fuses its way back down to k. The never-worsen-the-better-parent
 // contract does NOT come from the overlay (it has more than k blocks); it
-// comes from the incumbent channel (SolverRequest::incumbent): the better
+// comes from the incumbent channel (RunHooks::incumbent): the better
 // parent seeds best-at-k directly, so the offspring result is
 // min(search result, better parent) by construction.
 //

@@ -66,8 +66,8 @@ void apply_restart_seed(const EvolvePlan& plan, const Graph& g, int restart,
       // FF burst from one elite: the warm-start contract (never report
       // worse than the partition resumed from) IS the mutation guarantee.
       const Elite& e = plan.population[static_cast<std::size_t>(r.parent_a)];
-      request.warm_start = e.assignment;
-      request.warm_start_value = e.value;
+      request.hooks.warm_start = e.assignment;
+      request.hooks.warm_start_value = e.value;
       return;
     }
     case RestartKind::Crossover: {
@@ -78,11 +78,11 @@ void apply_restart_seed(const EvolvePlan& plan, const Graph& g, int restart,
       // The overlay (each connected agreement block = one starting atom)
       // is the starting molecule; the better parent rides the incumbent
       // channel so the offspring can never evaluate worse than it.
-      request.warm_start = std::make_shared<const std::vector<int>>(
+      request.hooks.warm_start = std::make_shared<const std::vector<int>>(
           overlay_assignment(g, *better.assignment, *other.assignment));
-      request.warm_start_value = std::numeric_limits<double>::infinity();
-      request.incumbent = better.assignment;
-      request.incumbent_value = better.value;
+      request.hooks.warm_start_value = std::numeric_limits<double>::infinity();
+      request.hooks.incumbent = better.assignment;
+      request.hooks.incumbent_value = better.value;
       return;
     }
   }

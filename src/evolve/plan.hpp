@@ -57,7 +57,7 @@ EvolvePlan plan_evolve(EliteArchive& archive, const PopulationKey& key,
                        int restarts, std::uint64_t seed, bool allow_crossover,
                        std::size_t num_vertices);
 
-/// Fills the warm-start/incumbent channels of `request` for one restart.
+/// Fills the warm-start/incumbent hooks of `request` for one restart.
 /// Thread-safe and pure: reads only the (immutable) plan and graph, so
 /// portfolio workers may call it concurrently. Cold restarts leave the
 /// request untouched.

@@ -102,7 +102,7 @@ BurstStats boundary_refine(const Graph& g, ObjectiveTracker& tracker,
 
 MlffResult mlff_partition(const Graph& g, int k, const MlffOptions& options,
                           const StopCondition& stop,
-                          AnytimeRecorder* recorder) {
+                          AnytimeRecorder* recorder, const RunHooks& hooks) {
   FFP_CHECK(k >= 2, "mlff needs k >= 2");
   FFP_CHECK(g.num_vertices() >= k, "graph has fewer vertices than parts");
   FFP_CHECK(options.coarse_n >= 0, "coarse_n must be >= 0");
@@ -153,20 +153,20 @@ MlffResult mlff_partition(const Graph& g, int k, const MlffOptions& options,
   // away in the descent; the final keep-better guard below is what makes
   // the monotonicity contract hold regardless.
   double warm_value = std::numeric_limits<double>::infinity();
-  std::shared_ptr<const std::vector<int>> coarse_warm;
-  if (options.warm_start != nullptr) {
-    FFP_CHECK(static_cast<VertexId>(options.warm_start->size()) ==
+  RunHooks coarse_hooks;
+  if (hooks.warm_start != nullptr) {
+    FFP_CHECK(static_cast<VertexId>(hooks.warm_start->size()) ==
                   g.num_vertices(),
-              "warm_start assignment covers ", options.warm_start->size(),
+              "warm_start assignment covers ", hooks.warm_start->size(),
               " vertices, graph has ", g.num_vertices());
     // min of the re-evaluation and the checkpoint's stored rendering of
     // the same value — summation order can differ by an ulp, and the
     // monotonicity contract is against what the checkpoint reported.
     warm_value = std::min(
         objective(options.objective)
-            .evaluate(Partition::from_assignment(g, *options.warm_start)),
-        options.warm_start_value);
-    std::vector<int> cur = *options.warm_start;
+            .evaluate(Partition::from_assignment(g, *hooks.warm_start)),
+        hooks.warm_start_value);
+    std::vector<int> cur = *hooks.warm_start;
     for (const CoarseLevel& level : chain) {
       const auto& map = level.fine_to_coarse;
       std::vector<int> down(
@@ -177,7 +177,8 @@ MlffResult mlff_partition(const Graph& g, int k, const MlffOptions& options,
       }
       cur = std::move(down);
     }
-    coarse_warm = std::make_shared<const std::vector<int>>(std::move(cur));
+    coarse_hooks.warm_start =
+        std::make_shared<const std::vector<int>>(std::move(cur));
   }
 
   // Checkpoint plumbing: wrap the caller's sink so it always receives
@@ -186,16 +187,19 @@ MlffResult mlff_partition(const Graph& g, int k, const MlffOptions& options,
   // is not guaranteed to improve at the fine level even when the coarse
   // value does).
   double emitted_best = warm_value;
-  std::function<void(const std::vector<int>&, double)> coarse_sink;
-  if (options.checkpoint_sink != nullptr && options.checkpoint_every_ms > 0) {
-    coarse_sink = [&](const std::vector<int>& at_coarse, double) {
+  const bool checkpointing =
+      hooks.checkpoint_sink != nullptr && hooks.checkpoint_every_ms > 0;
+  if (checkpointing) {
+    coarse_hooks.checkpoint_every_ms = hooks.checkpoint_every_ms;
+    coarse_hooks.checkpoint_sink = [&](const std::vector<int>& at_coarse,
+                                       double) {
       const std::vector<int> fine = project_to_fine(at_coarse);
       const double fine_value =
           objective(options.objective)
               .evaluate(Partition::from_assignment(g, fine, k));
       if (fine_value >= emitted_best) return;
       emitted_best = fine_value;
-      options.checkpoint_sink(fine, fine_value);
+      hooks.checkpoint_sink(fine, fine_value);
     };
   }
 
@@ -203,11 +207,8 @@ MlffResult mlff_partition(const Graph& g, int k, const MlffOptions& options,
   FusionFissionOptions ffopt;
   ffopt.objective = options.objective;
   ffopt.seed = ff_seed;
-  ffopt.warm_start = coarse_warm;
-  ffopt.checkpoint_every_ms = options.checkpoint_every_ms;
-  ffopt.checkpoint_sink = coarse_sink;
   FusionFission ff(coarse, k, ffopt);
-  FusionFissionResult coarse_res = ff.run(stop, nullptr);
+  FusionFissionResult coarse_res = ff.run(stop, nullptr, coarse_hooks);
 
   MlffResult out{Partition(g, 1), 0.0};
   out.levels = static_cast<int>(chain.size());
@@ -258,20 +259,34 @@ MlffResult mlff_partition(const Graph& g, int k, const MlffOptions& options,
   // Keep-better guard (the memetic never-worsen rule): a resumed run must
   // not report worse than the partition it restored, even when the
   // down-projection merged parts away and the coarse phase lost ground.
-  if (options.warm_start != nullptr && warm_value < out.best_value) {
-    out.best = Partition::from_assignment(g, *options.warm_start);
+  if (hooks.warm_start != nullptr && warm_value < out.best_value) {
+    out.best = Partition::from_assignment(g, *hooks.warm_start);
     out.best.compact();
     out.best_value = warm_value;
   }
   // Final checkpoint: the refined result, so a future resume starts from
   // exactly what this run reported.
-  if (options.checkpoint_sink != nullptr && options.checkpoint_every_ms > 0 &&
-      out.best_value < emitted_best) {
+  if (checkpointing && out.best_value < emitted_best) {
     const auto span = out.best.assignment();
-    options.checkpoint_sink(std::vector<int>(span.begin(), span.end()),
-                            out.best_value);
+    hooks.checkpoint_sink(std::vector<int>(span.begin(), span.end()),
+                          out.best_value);
   }
   if (recorder != nullptr) recorder->record(out.best_value);
+
+  // Memetic incumbent cap, post hoc and after everything above: when the
+  // incumbent still beats the run, report the incumbent.
+  if (hooks.incumbent != nullptr &&
+      hooks.incumbent->size() == static_cast<std::size_t>(g.num_vertices())) {
+    Partition inc = Partition::from_assignment(g, *hooks.incumbent);
+    if (inc.num_nonempty_parts() == k) {
+      double value = objective(options.objective).evaluate(inc);
+      if (hooks.incumbent_value < value) value = hooks.incumbent_value;
+      if (value < out.best_value) {
+        out.best = std::move(inc);
+        out.best_value = value;
+      }
+    }
+  }
   return out;
 }
 

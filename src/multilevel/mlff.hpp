@@ -16,12 +16,23 @@
 //
 // Every stage draws from seeds derived off one splitmix64 stream of
 // MlffOptions::seed and runs serially, so the result is a pure function of
-// (graph, k, options, step budget).
+// (graph, k, options, step budget, hooks).
+//
+// The run's RunHooks (metaheuristics/anytime.hpp) live on the INPUT graph,
+// and mlff maps them across the chain:
+//   * a warm start is projected DOWN to seed the coarse FF phase (each
+//     coarse vertex takes its first fine constituent's part), and a final
+//     keep-better guard makes the result never worse than the restored
+//     partition's objective;
+//   * checkpoints flow UP: the coarse phase's best-at-k is projected up
+//     the chain, evaluated on the input graph, and emitted only when that
+//     fine-level value improves, so the sink always sees input-graph
+//     assignments with comparable values;
+//   * an incumbent is a post-hoc guard, applied last: the coarsening would
+//     dissolve it, so there is no in-search best-at-k for it to seed.
 #pragma once
 
 #include <cstdint>
-#include <limits>
-#include <memory>
 
 #include "core/fusion_fission.hpp"
 #include "multilevel/coarsen.hpp"
@@ -42,24 +53,6 @@ struct MlffOptions {
   MatchingKind matching = MatchingKind::HeavyEdge;
 
   std::uint64_t seed = 2006;
-
-  // Durable-solve hooks, mirroring FusionFissionOptions. The warm
-  // assignment lives on the INPUT graph; mlff projects it down the
-  // coarsening chain (each coarse vertex takes its first fine
-  // constituent's part) to seed the coarse FF phase, and guarantees the
-  // final result is never worse than the restored partition's objective.
-  // Checkpoints flow the other way: the coarse phase's best-at-k is
-  // projected up the chain, evaluated on the input graph, and emitted
-  // only when that fine-level value improves — so the sink always sees
-  // input-graph assignments with comparable values.
-  std::shared_ptr<const std::vector<int>> warm_start;
-  /// Checkpointed objective of `warm_start` on the INPUT graph (see
-  /// SolverRequest::warm_start_value); the keep-better guard compares
-  /// against min(re-evaluation, this). Infinity = unknown.
-  double warm_start_value = std::numeric_limits<double>::infinity();
-  std::int64_t checkpoint_every_ms = 0;
-  std::function<void(const std::vector<int>& assignment, double value)>
-      checkpoint_sink;
 };
 
 struct MlffResult {
@@ -81,9 +74,11 @@ struct MlffResult {
 /// extra work capped by refine_steps. The recorder (when given) is started
 /// here and receives the final value — coarse-level objective values are
 /// not comparable to fine-level ones for the ratio criteria, so the coarse
-/// phase does not stream into it.
+/// phase does not stream into it. `hooks` are mapped across the chain as
+/// described above.
 MlffResult mlff_partition(const Graph& g, int k, const MlffOptions& options,
                           const StopCondition& stop,
-                          AnytimeRecorder* recorder = nullptr);
+                          AnytimeRecorder* recorder = nullptr,
+                          const RunHooks& hooks = {});
 
 }  // namespace ffp

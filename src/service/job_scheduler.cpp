@@ -7,7 +7,6 @@
 
 #include "persist/journal.hpp"
 #include "solver/portfolio.hpp"
-#include "solver/registry.hpp"
 #include "util/timer.hpp"
 
 namespace ffp {
@@ -64,15 +63,10 @@ JobScheduler::~JobScheduler() { shutdown(); }
 std::uint64_t JobScheduler::submit(JobSpec spec) {
   FFP_CHECK(spec.graph != nullptr, "job needs a graph");
   FFP_CHECK(spec.graph->num_vertices() >= 1, "job graph is empty");
-  FFP_CHECK(spec.k >= 1, "job needs k >= 1");
-  FFP_CHECK(spec.steps >= 0, "job step budget must be >= 0");
-  FFP_CHECK(spec.budget_ms >= 0, "job wall-clock budget must be >= 0");
+  FFP_CHECK(spec.solver != nullptr, "job needs a solver");
+  FFP_CHECK(spec.request.k >= 1, "job needs k >= 1");
   FFP_CHECK(spec.restarts >= 1, "job needs restarts >= 1");
   FFP_CHECK(spec.queue_ttl_ms >= 0, "job queue TTL must be >= 0");
-  // Resolve the method now so a typo fails the submit, not the runner
-  // (unless the caller already resolved it — the api engine does).
-  SolverPtr solver =
-      spec.solver != nullptr ? spec.solver : make_solver(spec.method);
 
   std::uint64_t id = 0;
   {
@@ -102,7 +96,6 @@ std::uint64_t JobScheduler::submit(JobSpec spec) {
     auto job = std::make_unique<Job>();
     job->id = id;
     job->spec = std::move(spec);
-    job->solver = std::move(solver);
     job->recorder = std::make_unique<ProgressRecorder>(this, job.get());
     queue_.emplace(-job->spec.priority, id);
     jobs_.emplace(id, std::move(job));
@@ -300,17 +293,8 @@ void JobScheduler::notify_terminal(std::uint64_t id) {
 
 void JobScheduler::run_job(Job& job) {
   const JobSpec& spec = job.spec;
-  SolverRequest request;
-  request.k = spec.k;
-  request.objective = spec.objective;
-  request.seed = spec.seed;
+  SolverRequest request = spec.request;
   request.recorder = job.recorder.get();
-  request.warm_start = spec.warm_start;
-  request.warm_start_value = spec.warm_start_value;
-  request.checkpoint_every_ms = spec.checkpoint_every_ms;
-  request.checkpoint_sink = spec.checkpoint_sink;
-  request.stop = spec.steps > 0 ? StopCondition::after_steps(spec.steps)
-                                : StopCondition::after_millis(spec.budget_ms);
   request.stop.set_cancel_flag(&job.cancel_flag);
 
   std::shared_ptr<const SolverResult> result;
@@ -328,10 +312,10 @@ void JobScheduler::run_job(Job& job) {
       popt.seed_restart = spec.seed_restart;
       popt.on_result = spec.on_restart_result;
       result = std::make_shared<const SolverResult>(
-          PortfolioRunner(job.solver, popt).run(*spec.graph, request));
+          PortfolioRunner(spec.solver, popt).run(*spec.graph, request));
     } else {
       result = std::make_shared<const SolverResult>(
-          job.solver->run(*spec.graph, request));
+          spec.solver->run(*spec.graph, request));
     }
   } catch (const std::exception& e) {
     error = e.what();

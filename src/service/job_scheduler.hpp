@@ -1,20 +1,21 @@
 // Multi-tenant job scheduling over the solver engine layer: the service
-// subsystem's core. Clients submit JobSpecs (graph + method spec + budget +
-// seed + priority); a fixed set of runner threads executes them
-// highest-priority-first (FIFO within a priority), each runner and each
-// portfolio leasing its workers from a ThreadBudget so N concurrent jobs
-// can never oversubscribe the machine, however many restarts they ask for.
+// subsystem's core. Clients submit JobSpecs (graph + resolved solver + one
+// SolverRequest + restarts + priority); a fixed set of runner threads
+// executes them highest-priority-first (FIFO within a priority), each
+// runner and each portfolio leasing its workers from a ThreadBudget so N
+// concurrent jobs can never oversubscribe the machine, however many
+// restarts they ask for.
 //
 // Determinism contract (what the service tests prove): a job's result
-// depends only on its JobSpec — seed, step budget, method, k, objective,
-// restarts. Runner scheduling, the budget size, and how many worker slots
-// a portfolio happens to be granted never change the partition, because
-// (a) every random draw derives from the spec's seed, (b) each solver run
-// is serial, and (c) the portfolio's winner depends only on its results.
-// So a fixed set of step-budgeted jobs yields byte-identical partitions
-// whether submitted serially or concurrently, at any budget.
-// (Wall-clock-budgeted jobs trade that guarantee for latency control,
-// exactly like the CLI.)
+// depends only on its JobSpec — the solver, the request (k, objective,
+// seed, step budget, hooks) and restarts. Runner scheduling, the budget
+// size, and how many worker slots a portfolio happens to be granted never
+// change the partition, because (a) every random draw derives from the
+// request's seed, (b) each solver run is serial, and (c) the portfolio's
+// winner depends only on its results. So a fixed set of step-budgeted jobs
+// yields byte-identical partitions whether submitted serially or
+// concurrently, at any budget. (Wall-clock-budgeted jobs trade that
+// guarantee for latency control, exactly like the CLI.)
 //
 // Cancellation: cancel() removes a queued job outright and flips a running
 // job's cancel flag, which the solver's StopCondition observes — the job
@@ -30,7 +31,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -57,43 +57,31 @@ std::string_view to_string(JobState state);
 
 struct JobSpec {
   std::shared_ptr<const Graph> graph;  ///< required, shared across jobs
-  std::string method = "fusion_fission";  ///< registry spec (solver/registry)
-  /// Optional pre-resolved solver for `method` (the api engine resolves
-  /// specs once and passes the instance through); null → submit() builds
-  /// it from `method`.
+  /// Required: the resolved solver (the api engine resolves each method
+  /// spec once, at its own boundary, and passes the instance through).
   SolverPtr solver;
-  int k = 2;
-  ObjectiveKind objective = ObjectiveKind::MinMaxCut;
-  std::uint64_t seed = 1;
-  /// Deterministic step budget; 0 falls back to the wall clock, which
-  /// forfeits the byte-identical guarantee (documented above).
-  std::int64_t steps = 0;
-  double budget_ms = 5000;
-  int priority = 0;    ///< higher runs first; FIFO within a priority
-  /// Queue TTL: a job that waited longer than this before a runner picked
-  /// it up goes terminal Failed with code QueueExpired instead of running
-  /// — its caller has typically given up, and running it anyway would
-  /// burn a runner on a result nobody reads. 0 = no TTL.
-  double queue_ttl_ms = 0;
+  /// The run itself: k, objective, seed, stop condition and hooks. A
+  /// deterministic step budget in `request.stop` is what makes the job
+  /// byte-identical (documented above). The runner runs a copy with its
+  /// progress recorder and cancel flag attached.
+  SolverRequest request;
   /// Portfolio multi-start: > 1 fans that many independently seeded
-  /// restarts of the method across the budget (solver/portfolio.hpp) and
-  /// keeps the best — the per-restart seed stream depends only on `seed`,
-  /// so the job stays deterministic under a step budget.
+  /// restarts across the budget (solver/portfolio.hpp) and keeps the best
+  /// — the per-restart seed stream depends only on `request.seed`, so the
+  /// job stays deterministic under a step budget.
   int restarts = 1;
-  // Durable-solve hooks, forwarded verbatim into the SolverRequest (see
-  // solver/solver.hpp for the contract). The api engine fills them from
-  // the SolveSpec + its state dir; direct scheduler users may too.
-  std::shared_ptr<const std::vector<int>> warm_start;
-  double warm_start_value = std::numeric_limits<double>::infinity();
-  std::int64_t checkpoint_every_ms = 0;
-  std::function<void(const std::vector<int>& assignment, double value)>
-      checkpoint_sink;
   // Evolve-mode portfolio hooks, forwarded into PortfolioOptions (see
   // solver/portfolio.hpp for the thread-safety/ordering contract). Setting
   // either routes the job through the PortfolioRunner even at restarts=1.
   std::function<void(int restart, SolverRequest& request)> seed_restart;
   std::function<void(int restart, const SolverResult& result)>
       on_restart_result;
+  int priority = 0;    ///< higher runs first; FIFO within a priority
+  /// Queue TTL: a job that waited longer than this before a runner picked
+  /// it up goes terminal Failed with code QueueExpired instead of running
+  /// — its caller has typically given up, and running it anyway would
+  /// burn a runner on a result nobody reads. 0 = no TTL.
+  double queue_ttl_ms = 0;
   /// Write-ahead journaling: when non-empty AND the scheduler has a
   /// journal, this job leaves submitted/started/terminal records, each
   /// durable before the transition it describes becomes visible. The
@@ -159,8 +147,8 @@ class JobScheduler {
   JobScheduler& operator=(const JobScheduler&) = delete;
 
   /// Enqueues a job; returns its id (monotonic from 1). Validates the spec
-  /// (graph present, k ≥ 1, known method) up front so bad submissions fail
-  /// at the API boundary, not inside a runner.
+  /// (graph and solver present, k ≥ 1, restarts ≥ 1, TTL ≥ 0) up front so
+  /// bad submissions fail at the API boundary, not inside a runner.
   std::uint64_t submit(JobSpec spec);
 
   /// Queued → removed (terminal Cancelled, no result); Running → flagged,
@@ -212,7 +200,6 @@ class JobScheduler {
   struct Job {
     std::uint64_t id = 0;
     JobSpec spec;
-    SolverPtr solver;  ///< resolved at submit so typos fail the API call
     JobState state = JobState::Queued;
     std::atomic<bool> cancel_flag{false};
     WallTimer queued_timer;  ///< armed at submit; feeds the queue TTL

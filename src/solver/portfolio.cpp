@@ -40,15 +40,8 @@ class SharedAnytimeRecorder final : public AnytimeRecorder {
 }  // namespace
 
 PortfolioRunner::PortfolioRunner(SolverPtr solver, PortfolioOptions options)
-    : PortfolioRunner(std::vector<SolverPtr>{std::move(solver)}, options) {}
-
-PortfolioRunner::PortfolioRunner(std::vector<SolverPtr> solvers,
-                                 PortfolioOptions options)
-    : solvers_(std::move(solvers)), options_(options) {
-  FFP_CHECK(!solvers_.empty(), "portfolio needs at least one solver");
-  for (const auto& s : solvers_) {
-    FFP_CHECK(s != nullptr, "portfolio solver must not be null");
-  }
+    : solver_(std::move(solver)), options_(std::move(options)) {
+  FFP_CHECK(solver_ != nullptr, "portfolio solver must not be null");
   FFP_CHECK(options_.restarts >= 1, "portfolio needs at least one restart");
 }
 
@@ -101,8 +94,7 @@ SolverResult PortfolioRunner::run(const Graph& g,
       if (options_.seed_restart) {
         options_.seed_restart(static_cast<int>(i), local);
       }
-      const Solver& solver = *solvers_[idx % solvers_.size()];
-      results[idx].emplace(solver.run(g, local));
+      results[idx].emplace(solver_->run(g, local));
     });
   }
 

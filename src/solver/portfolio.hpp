@@ -1,7 +1,7 @@
 // Parallel multi-start portfolio over the Solver interface, in the spirit of
-// KaFFPaE's parallel evolutionary restarts: fan N restarts of one solver (or
-// a round-robin mix) across a ThreadPool, each with its own seed drawn from
-// a splitmix64 stream of the request seed, and keep the best result.
+// KaFFPaE's parallel evolutionary restarts: fan N restarts of one solver
+// across a ThreadPool, each with its own seed drawn from a splitmix64
+// stream of the request seed, and keep the best result.
 // Restarts are the only parallelism inside one job: each restart is one
 // serial solver run, as in KaFFPaE, where individuals evolve in parallel
 // and no single local search is parallelized.
@@ -53,13 +53,8 @@ struct PortfolioOptions {
 
 class PortfolioRunner {
  public:
-  /// N restarts of a single solver.
+  /// options.restarts runs of `solver`.
   PortfolioRunner(SolverPtr solver, PortfolioOptions options);
-  /// Mixed portfolio: restart i runs solvers[i % solvers.size()].
-  PortfolioRunner(std::vector<SolverPtr> solvers, PortfolioOptions options);
-
-  const PortfolioOptions& options() const { return options_; }
-  const std::vector<SolverPtr>& solvers() const { return solvers_; }
 
   /// Runs every restart (request.seed is replaced by the restart's stream
   /// seed; request.recorder, if any, receives the merged best-so-far
@@ -72,7 +67,7 @@ class PortfolioRunner {
   static std::vector<std::uint64_t> seed_stream(std::uint64_t seed, int n);
 
  private:
-  std::vector<SolverPtr> solvers_;
+  SolverPtr solver_;
   PortfolioOptions options_;
 };
 

@@ -34,16 +34,10 @@ SolverResult FusionFissionSolver::run(const Graph& g,
   FusionFissionOptions opt = base_;
   opt.objective = request.objective;
   opt.seed = request.seed;
-  opt.warm_start = request.warm_start;
-  opt.warm_start_value = request.warm_start_value;
-  opt.incumbent = request.incumbent;
-  opt.incumbent_value = request.incumbent_value;
-  opt.checkpoint_every_ms = request.checkpoint_every_ms;
-  opt.checkpoint_sink = request.checkpoint_sink;
   WallTimer timer;
   const StopCondition stop = armed(request);
   FusionFission ff(g, request.k, opt);
-  auto res = ff.run(stop, request.recorder);
+  auto res = ff.run(stop, request.recorder, request.hooks);
   SolverResult out{std::move(res.best), res.best_value,
                    timer.elapsed_seconds(), {}};
   out.stats = {{"steps", static_cast<double>(res.steps)},
@@ -61,31 +55,12 @@ SolverResult MlffSolver::run(const Graph& g,
   MlffOptions opt = base_;
   opt.objective = request.objective;
   opt.seed = request.seed;
-  opt.warm_start = request.warm_start;
-  opt.warm_start_value = request.warm_start_value;
-  opt.checkpoint_every_ms = request.checkpoint_every_ms;
-  opt.checkpoint_sink = request.checkpoint_sink;
   WallTimer timer;
   const StopCondition stop = armed(request);
-  auto res = mlff_partition(g, request.k, opt, stop, request.recorder);
+  auto res = mlff_partition(g, request.k, opt, stop, request.recorder,
+                            request.hooks);
   SolverResult out{std::move(res.best), res.best_value,
                    timer.elapsed_seconds(), {}};
-  if (request.incumbent != nullptr &&
-      request.incumbent->size() ==
-          static_cast<std::size_t>(g.num_vertices())) {
-    // Memetic incumbent cap, post-hoc: mlff has no in-search best-at-k to
-    // seed (the coarsening would dissolve it), so when the incumbent
-    // still beats the run, report the incumbent.
-    Partition inc = Partition::from_assignment(g, *request.incumbent);
-    if (inc.num_nonempty_parts() == request.k) {
-      double value = objective(request.objective).evaluate(inc);
-      if (request.incumbent_value < value) value = request.incumbent_value;
-      if (value < out.best_value) {
-        out.best = std::move(inc);
-        out.best_value = value;
-      }
-    }
-  }
   out.stats = {{"levels", static_cast<double>(res.levels)},
                {"coarse_vertices", static_cast<double>(res.coarse_vertices)},
                {"steps", static_cast<double>(res.coarse_steps)},

@@ -9,13 +9,12 @@
 // *metaheuristics* honor the wall-clock/step budget and optimize the
 // requested criterion anytime-style. Both return a `SolverResult` whose
 // `best_value` is always the requested objective evaluated on the returned
-// partition, which is what lets a mixed portfolio compare apples to apples.
+// partition, which is what lets a portfolio compare its restarts.
 //
 // Construction by name + options lives in solver/registry.hpp; parallel
 // multi-start composition lives in solver/portfolio.hpp.
 #pragma once
 
-#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -40,9 +39,11 @@ namespace ffp {
 
 class ThreadBudget;  // service/thread_budget.hpp
 
-/// Everything a solver needs for one run. The stop condition is re-armed
-/// (copied and restarted) by each solver at the top of run(), so a request
-/// can be built ahead of time and reused across restarts.
+/// Everything a solver needs for one run. api::Engine builds it once per
+/// job (a JobSpec carries it) and the portfolio copies it per restart.
+/// The stop condition is re-armed (copied and restarted) by each solver at
+/// the top of run(), so a request can be built ahead of time and reused
+/// across restarts.
 struct SolverRequest {
   int k = 2;
   ObjectiveKind objective = ObjectiveKind::MinMaxCut;
@@ -54,26 +55,10 @@ struct SolverRequest {
   /// their own options. Kept declared only because perfbench/ladder.cpp
   /// assigns it; delete it together with that assignment.
   ThreadBudget* budget = nullptr;
-  // Durable-solve hooks (persist/), honored by the anytime-capable
-  // fusion-fission and mlff adapters and ignored by the rest. See
-  // FusionFissionOptions for the contract.
-  std::shared_ptr<const std::vector<int>> warm_start;
-  /// The objective value the checkpoint recorded for `warm_start`, as
-  /// accumulated by the run that wrote it. Re-evaluating the restored
-  /// partition can land an ulp away (different summation order); adopting
-  /// the lower rendering keeps resume monotonicity exact. Infinity (the
-  /// default) means "unknown — trust the re-evaluation".
-  double warm_start_value = std::numeric_limits<double>::infinity();
-  std::int64_t checkpoint_every_ms = 0;
-  std::function<void(const std::vector<int>& assignment, double value)>
-      checkpoint_sink;
-  /// Memetic incumbent (evolve crossover): a k-part assignment that CAPS
-  /// the reported result — the run can never return worse than
-  /// min(incumbent_value, its evaluation). Fusion-fission seeds best-at-k
-  /// from it in-search (the offspring may still improve on it); mlff
-  /// applies it as a post-hoc guard; the other solvers ignore it.
-  std::shared_ptr<const std::vector<int>> incumbent;
-  double incumbent_value = std::numeric_limits<double>::infinity();
+  /// Warm start, incumbent and checkpointing (metaheuristics/anytime.hpp),
+  /// passed straight through to the fusion-fission and mlff kernels and
+  /// ignored by the other solvers.
+  RunHooks hooks;
 };
 
 struct SolverResult {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -136,6 +137,57 @@ TEST(SolveSpec, ResolvedStepsImplementsTheDeterminismRule) {
   EXPECT_TRUE(spec.deterministic());
 }
 
+// Every out-of-range field is rejected by resolve(), with a message naming
+// the SolveSpec field, before anything converts or runs it.
+TEST(SolveSpec, ResolveRejectsOutOfRangeFieldsByName) {
+  const auto expect_rejected = [](const api::SolveSpec& spec,
+                                  const std::string& field) {
+    try {
+      spec.resolve();
+      ADD_FAILURE() << "resolve() accepted a bad " << field;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("SolveSpec::" + field),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  api::SolveSpec base;
+  base.restarts = 2;  // steps are derived from budget_ms
+  api::SolveSpec spec = base;
+  spec.k = 0;
+  expect_rejected(spec, "k");
+  spec = base;
+  spec.restarts = 0;
+  expect_rejected(spec, "restarts");
+  spec = base;
+  spec.steps = -1;
+  expect_rejected(spec, "steps");
+  spec = base;
+  spec.budget_ms = -5;
+  expect_rejected(spec, "budget_ms");
+  spec = base;
+  spec.budget_ms = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(spec, "budget_ms");
+  spec = base;
+  spec.budget_ms = 1e300;  // 5e301 derived steps: beyond int64
+  expect_rejected(spec, "budget_ms");
+  spec = base;
+  spec.queue_ttl_ms = -1;
+  expect_rejected(spec, "queue_ttl_ms");
+  spec = base;
+  spec.checkpoint_every_ms = -1;
+  expect_rejected(spec, "checkpoint_every_ms");
+
+  // In range: a derived budget that fits, and a huge wall clock that is
+  // never converted to steps.
+  spec = base;
+  spec.budget_ms = 1e17;
+  EXPECT_EQ(spec.resolved_steps(), 5'000'000'000'000'000'000);
+  spec.restarts = 1;
+  spec.budget_ms = 1e300;
+  EXPECT_EQ(spec.resolved_steps(), 0);
+}
+
 TEST(SolveSpec, CacheKeyCapturesResultIdentityOnly) {
   api::SolveSpec spec;
   spec.steps = 1000;
@@ -233,6 +285,8 @@ TEST(SolveHandle, FailuresSurfaceThroughSolve) {
   api::Engine engine;
   api::SolveSpec spec;
   spec.method = "no_such_solver";
+  EXPECT_THROW(engine.submit(api::Problem::generated("path:10"), spec), Error);
+  spec.method = "fusion_fission:bogus_key=1";
   EXPECT_THROW(engine.submit(api::Problem::generated("path:10"), spec), Error);
   EXPECT_THROW(engine.solve(api::Problem(), api::SolveSpec{}), Error);
 }

@@ -226,13 +226,14 @@ TEST(Operators, CrossoverNeverWorsensBetterParentOnAllFamilies) {
     SolverRequest offspring = request;
     offspring.seed = 43;
     offspring.stop = StopCondition::after_steps(60);  // starved on purpose
-    offspring.warm_start = std::make_shared<const std::vector<int>>(
+    offspring.hooks.warm_start = std::make_shared<const std::vector<int>>(
         evolve::overlay_assignment(g, better.best.assignment(),
                                    other.best.assignment()));
-    offspring.warm_start_value = std::numeric_limits<double>::infinity();
-    offspring.incumbent = std::make_shared<const std::vector<int>>(
+    offspring.hooks.warm_start_value =
+        std::numeric_limits<double>::infinity();
+    offspring.hooks.incumbent = std::make_shared<const std::vector<int>>(
         assignment_of(better.best));
-    offspring.incumbent_value = better.best_value;
+    offspring.hooks.incumbent_value = better.best_value;
     const SolverResult child = solver->run(g, offspring);
     EXPECT_LE(child.best_value, better.best_value)
         << family << ": offspring worsened the better parent";
@@ -254,9 +255,9 @@ TEST(Operators, MlffHonorsIncumbentGuard) {
   SolverRequest capped = request;
   capped.seed = 8;
   capped.stop = StopCondition::after_steps(40);
-  capped.incumbent =
+  capped.hooks.incumbent =
       std::make_shared<const std::vector<int>>(assignment_of(parent.best));
-  capped.incumbent_value = parent.best_value;
+  capped.hooks.incumbent_value = parent.best_value;
   const SolverResult child = solver->run(g, capped);
   EXPECT_LE(child.best_value, parent.best_value);
 }

@@ -43,13 +43,13 @@ TEST(Integration, SpectralBeatsLinearOnCutAtPaperScale) {
   // because the spatially ordered ids make Linear surprisingly strong.
   const auto core = make_core_area_graph();
   const auto methods = table1_methods();
-  MethodContext ctx;
-  ctx.k = 32;
-  ctx.seed = 1;
+  api::SolveSpec spec;
+  spec.k = 32;
+  spec.seed = 1;
   const auto spectral =
-      method_by_name(methods, "Spectral (Lanc, Bi)").run(core.graph, ctx);
+      method_by_name(methods, "Spectral (Lanc, Bi)").run(core.graph, spec);
   const auto linear =
-      method_by_name(methods, "Linear (Bi)").run(core.graph, ctx);
+      method_by_name(methods, "Linear (Bi)").run(core.graph, spec);
   EXPECT_LT(spectral.edge_cut(), linear.edge_cut());
 }
 
@@ -127,12 +127,12 @@ TEST(Integration, AllMethodsBeatRandomBaseline) {
   const double random_cut_pairs =
       2.0 * g.total_edge_weight() * (1.0 - 1.0 / k);
   for (const auto& m : table1_methods()) {
-    MethodContext ctx;
-    ctx.k = k;
-    ctx.objective = ObjectiveKind::Cut;
-    ctx.budget_ms = 400.0;
-    ctx.seed = 4;
-    const auto p = m.run(g, ctx);
+    api::SolveSpec spec;
+    spec.k = k;
+    spec.objective = ObjectiveKind::Cut;
+    spec.budget_ms = 400.0;
+    spec.seed = 4;
+    const auto p = m.run(g, spec);
     SCOPED_TRACE(m.name);
     EXPECT_LT(p.total_cut_pairs(), random_cut_pairs);
   }

@@ -25,12 +25,14 @@ std::shared_ptr<const Graph> test_graph() {
   return g;
 }
 
-JobSpec quick_job(std::uint64_t seed, std::int64_t steps = 2000) {
+JobSpec quick_job(std::uint64_t seed, std::int64_t steps = 2000,
+                  const std::string& method = "fusion_fission") {
   JobSpec spec;
   spec.graph = test_graph();
-  spec.k = 6;
-  spec.seed = seed;
-  spec.steps = steps;
+  spec.solver = make_solver(method);
+  spec.request.k = 6;
+  spec.request.seed = seed;
+  spec.request.stop = StopCondition::after_steps(steps);
   return spec;
 }
 
@@ -60,15 +62,12 @@ TEST(JobScheduler, ValidatesSpecsAtSubmit) {
   JobSpec no_graph = quick_job(1);
   no_graph.graph = nullptr;
   EXPECT_THROW(scheduler.submit(no_graph), Error);
+  JobSpec no_solver = quick_job(1);
+  no_solver.solver = nullptr;
+  EXPECT_THROW(scheduler.submit(no_solver), Error);
   JobSpec bad_k = quick_job(1);
-  bad_k.k = 0;
+  bad_k.request.k = 0;
   EXPECT_THROW(scheduler.submit(bad_k), Error);
-  JobSpec bad_method = quick_job(1);
-  bad_method.method = "no_such_solver";
-  EXPECT_THROW(scheduler.submit(bad_method), Error);
-  JobSpec bad_option = quick_job(1);
-  bad_option.method = "fusion_fission:bogus_key=1";
-  EXPECT_THROW(scheduler.submit(bad_option), Error);
 }
 
 TEST(JobScheduler, UnknownIdsThrowOrReturnFalse) {
@@ -166,7 +165,7 @@ TEST(JobScheduler, CancelMidRunReturnsBestSoFar) {
 TEST(JobScheduler, FailedJobCarriesTheError) {
   JobScheduler scheduler;
   JobSpec spec = quick_job(1);
-  spec.k = 10'000;  // more parts than vertices: the solver throws
+  spec.request.k = 10'000;  // more parts than vertices: the solver throws
   const auto id = scheduler.submit(spec);
   const JobStatus status = scheduler.wait(id);
   EXPECT_EQ(status.state, JobState::Failed);
@@ -205,12 +204,8 @@ TEST(JobScheduler, SerialVsConcurrentByteIdenticalAtBudgets148) {
     spec.restarts = 2;  // the portfolio wants workers; grants vary
     specs.push_back(spec);
   }
-  JobSpec annealing = quick_job(21, 20000);
-  annealing.method = "annealing";
-  specs.push_back(annealing);
-  JobSpec direct = quick_job(31);
-  direct.method = "multilevel";
-  specs.push_back(direct);
+  specs.push_back(quick_job(21, 20000, "annealing"));
+  specs.push_back(quick_job(31, 2000, "multilevel"));
 
   // Reference: strictly serial (one runner, one worker slot).
   std::vector<std::string> reference;
@@ -254,13 +249,8 @@ TEST(JobScheduler, RestartsRunAPortfolioInsideTheJob) {
     popt.restarts = 3;
     popt.threads = 2;
     popt.budget = &budget;
-    SolverRequest request;
-    request.k = spec.k;
-    request.objective = spec.objective;
-    request.seed = spec.seed;
-    request.stop = StopCondition::after_steps(spec.steps);
-    const auto team = PortfolioRunner(make_solver(spec.method), popt)
-                          .run(*spec.graph, request);
+    const auto team =
+        PortfolioRunner(spec.solver, popt).run(*spec.graph, spec.request);
     std::ostringstream out;
     write_partition(team.best.assignment(), out);
     expected = out.str();
@@ -298,7 +288,7 @@ TEST(JobScheduler, OnTerminalFiresOncePerJob) {
     JobScheduler scheduler(std::move(options));
     done = scheduler.submit(quick_job(5, 500));
     JobSpec failing = quick_job(6);
-    failing.k = 100000;  // more parts than vertices: solver throws
+    failing.request.k = 100000;  // more parts than vertices: solver throws
     failed = scheduler.submit(failing);
     scheduler.drain();
     // A queued job cancelled before any runner claims it still notifies.
@@ -321,8 +311,7 @@ TEST(JobScheduler, OnTerminalFiresOncePerJob) {
 /// guaranteed to wait in the queue.
 std::uint64_t occupy_runner(JobScheduler& scheduler, double budget_ms) {
   JobSpec blocker = quick_job(1);
-  blocker.steps = 0;
-  blocker.budget_ms = budget_ms;
+  blocker.request.stop = StopCondition::after_millis(budget_ms);
   const auto id = scheduler.submit(std::move(blocker));
   while (scheduler.status(id).state == JobState::Queued) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));

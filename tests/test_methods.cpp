@@ -69,12 +69,12 @@ TEST(Methods, EveryRowProducesValidKPartition) {
   const auto methods = table1_methods();
   const Graph& g = small_atc();
   for (const auto& m : methods) {
-    MethodContext ctx;
-    ctx.k = 8;
-    ctx.objective = ObjectiveKind::MinMaxCut;
-    ctx.budget_ms = 150.0;
-    ctx.seed = 3;
-    const auto p = m.run(g, ctx);
+    api::SolveSpec spec;
+    spec.k = 8;
+    spec.objective = ObjectiveKind::MinMaxCut;
+    spec.budget_ms = 150.0;
+    spec.seed = 3;
+    const auto p = m.run(g, spec);
     SCOPED_TRACE(m.name);
     ffp::testing::expect_valid_partition(p, 8);
   }
@@ -85,11 +85,11 @@ TEST(Methods, DeterministicRowsReproduce) {
   const Graph& g = small_atc();
   for (const auto& m : methods) {
     if (m.is_metaheuristic) continue;  // budgeted rows depend on wall clock
-    MethodContext ctx;
-    ctx.k = 8;
-    ctx.seed = 5;
-    const auto a = m.run(g, ctx);
-    const auto b = m.run(g, ctx);
+    api::SolveSpec spec;
+    spec.k = 8;
+    spec.seed = 5;
+    const auto a = m.run(g, spec);
+    const auto b = m.run(g, spec);
     SCOPED_TRACE(m.name);
     EXPECT_TRUE(std::equal(a.assignment().begin(), a.assignment().end(),
                            b.assignment().begin()));
@@ -102,14 +102,14 @@ TEST(Methods, MetaheuristicsRespectObjectiveChoice) {
   for (const char* name :
        {"Simulated annealing", "Ant colony", "Fusion Fission"}) {
     const auto& m = method_by_name(methods, name);
-    MethodContext ctx;
-    ctx.k = 8;
-    ctx.budget_ms = 200.0;
-    ctx.seed = 7;
-    ctx.objective = ObjectiveKind::Cut;
-    const auto cut_run = m.run(g, ctx);
-    ctx.objective = ObjectiveKind::MinMaxCut;
-    const auto mcut_run = m.run(g, ctx);
+    api::SolveSpec spec;
+    spec.k = 8;
+    spec.budget_ms = 200.0;
+    spec.seed = 7;
+    spec.objective = ObjectiveKind::Cut;
+    const auto cut_run = m.run(g, spec);
+    spec.objective = ObjectiveKind::MinMaxCut;
+    const auto mcut_run = m.run(g, spec);
     SCOPED_TRACE(name);
     // Each optimizes its own criterion at least as well as the other's
     // output scores under that criterion (weak but meaningful check).
@@ -126,11 +126,10 @@ TEST(Methods, RecorderIsFedByMetaheuristics) {
   const Graph& g = small_atc();
   const auto& ff = method_by_name(methods, "Fusion Fission");
   AnytimeRecorder rec;
-  MethodContext ctx;
-  ctx.k = 8;
-  ctx.budget_ms = 200.0;
-  ctx.recorder = &rec;
-  ff.run(g, ctx);
+  api::SolveSpec spec;
+  spec.k = 8;
+  spec.budget_ms = 200.0;
+  ff.run(g, spec, &rec);
   EXPECT_GE(rec.points().size(), 1u);
 }
 

@@ -40,7 +40,6 @@ TEST(SeedStream, DeterministicAndDistinct) {
 }
 
 TEST(Portfolio, RejectsBadConfiguration) {
-  EXPECT_THROW(PortfolioRunner(std::vector<SolverPtr>{}, {1, 1}), Error);
   EXPECT_THROW(PortfolioRunner(SolverPtr{}, {1, 1}), Error);
   EXPECT_THROW(PortfolioRunner(make_solver("percolation"), {0, 1}), Error);
 }
@@ -91,25 +90,6 @@ TEST(Portfolio, DeterministicAcrossThreadCounts) {
     EXPECT_DOUBLE_EQ(one.stat("winner_restart", -1.0),
                      eight.stat("winner_restart", -2.0))
         << spec;
-  }
-}
-
-TEST(Portfolio, MixedSolversRoundRobin) {
-  std::vector<SolverPtr> solvers = {make_solver("multilevel"),
-                                    make_solver("percolation"),
-                                    make_solver("annealing")};
-  SolverRequest request = step_request(4, 3, 500);
-  const auto team = PortfolioRunner(solvers, {6, 3}).run(grid(), request);
-  testing::expect_valid_partition(team.best, 4);
-  EXPECT_DOUBLE_EQ(team.stat("restarts"), 6.0);
-
-  // Winner value can never be worse than any single member's run.
-  const auto seeds = PortfolioRunner::seed_stream(request.seed, 6);
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    SolverRequest direct = request;
-    direct.seed = seeds[i];
-    const auto solo = solvers[i % solvers.size()]->run(grid(), direct);
-    EXPECT_LE(team.best_value, solo.best_value);
   }
 }
 

@@ -186,17 +186,27 @@ TEST(Recovery, UnparsableJournalPayloadsAreSkippedNotFatal) {
   engine.drain();
 }
 
+// fusion_fission on every family, and mlff on graphs large enough to
+// coarsen at k = 4, so its warm-start down-projection, coarse-to-fine
+// checkpoint sink and keep-better guard all run.
 TEST(Recovery, WarmStartNeverWorseThanItsCheckpointOnEveryFamily) {
   int family_index = 0;
-  for (const std::string family :
-       {"grid2d:12,12", "torus:12,12", "geometric:140,0.18,5",
-        "powerlaw:140,6,2.5,5"}) {
+  for (const auto& [method, family] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"fusion_fission", "grid2d:12,12"},
+           {"fusion_fission", "torus:12,12"},
+           {"fusion_fission", "geometric:140,0.18,5"},
+           {"fusion_fission", "powerlaw:140,6,2.5,5"},
+           {"mlff", "grid2d:48,48"},
+           {"mlff", "geometric:2500,0.04,5"},
+           {"mlff", "torus:40,40"}}) {
+    SCOPED_TRACE(method + " on " + family);
     const std::string dir =
         state_dir("rec_warm_" + std::to_string(family_index++));
     const api::Problem problem = api::Problem::generated(family);
 
     api::SolveSpec spec;
-    spec.method = "fusion_fission";
+    spec.method = method;
     spec.k = 4;
     spec.seed = 2006;
     spec.steps = 1500;

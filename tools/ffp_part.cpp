@@ -130,7 +130,6 @@ int main(int argc, char** argv) {
     spec.steps = args.get_int("steps");
     spec.budget_ms = args.get_double("budget-ms");
     spec.restarts = static_cast<int>(args.get_int("restarts"));
-    FFP_CHECK(spec.restarts >= 1, "--restarts must be >= 1");
 
     const ffp::api::ResolvedSpec resolved = spec.resolve();
     const std::int64_t steps = resolved.steps;
