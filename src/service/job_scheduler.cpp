@@ -251,7 +251,7 @@ void JobScheduler::runner_loop() {
     // The runner's own slot: the one blocking wait in the whole budget
     // protocol, safe exactly here because the runner holds nothing while
     // waiting (thread_budget.hpp).
-    WorkerLease self = budget_->acquire(1);
+    WorkerLease self = budget_->acquire();
     if (job->cancel_flag.load(std::memory_order_relaxed)) {
       std::lock_guard lock(mu_);
       job->state = JobState::Cancelled;

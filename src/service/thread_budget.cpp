@@ -38,14 +38,12 @@ WorkerLease ThreadBudget::lease(unsigned want) {
   return WorkerLease(this, granted);
 }
 
-WorkerLease ThreadBudget::acquire(unsigned want) {
-  FFP_CHECK(want >= 1, "acquire needs at least one slot");
+WorkerLease ThreadBudget::acquire() {
   std::unique_lock lock(mu_);
   freed_.wait(lock, [this] { return in_use_ < total_; });
-  const unsigned granted = std::min(want, total_ - in_use_);
-  in_use_ += granted;
+  ++in_use_;
   peak_ = std::max(peak_, in_use_);
-  return WorkerLease(this, granted);
+  return WorkerLease(this, 1);
 }
 
 void ThreadBudget::give_back(unsigned slots) {

@@ -15,12 +15,13 @@
 // portfolio that leases restart workers from inside a scheduler runner's
 // slot can never wait on capacity its own ancestors hold.
 //
-// Accounting model: a lease covers *worker threads doing work*. The
-// calling thread itself is not counted — it either blocks waiting for its
-// workers (a portfolio) or is itself covered by its parent's lease (a
-// scheduler runner executing a solve). So a budget of B bounds
-// the number of runnable leased workers at B; `peak_in_use()` records the
-// high-water mark, which the service tests assert never exceeds `total()`.
+// Accounting model: a lease covers *threads doing work* beyond the caller.
+// The calling thread is covered by its parent: a scheduler runner holds the
+// one slot it acquired, and a portfolio it runs leases restarts − 1 more
+// workers while the runner itself runs restarts beside them. So a budget of
+// B bounds the number of live solver threads under the scheduler at B;
+// `peak_in_use()` records the high-water mark, which the service tests
+// assert never exceeds `total()`.
 #pragma once
 
 #include <condition_variable>
@@ -89,13 +90,12 @@ class ThreadBudget {
   /// deadlock; a 0-slot grant means "run inline on your own thread".
   WorkerLease lease(unsigned want);
 
-  /// Blocking: waits until at least one slot is free, then grants
-  /// min(want, available) ≥ 1. ONLY for top-level clients that hold no
-  /// lease while waiting (the JobScheduler's runners, which block here
-  /// before touching a job) — a nested client that blocked could deadlock
-  /// on capacity its own ancestors hold, which is why everything below the
-  /// scheduler uses the non-blocking lease().
-  WorkerLease acquire(unsigned want = 1);
+  /// Blocking: waits until a slot is free, then grants it. ONLY for
+  /// top-level clients that hold no lease while waiting (the JobScheduler's
+  /// runners, which block here before touching a job) — a nested client
+  /// that blocked could deadlock on capacity its own ancestors hold, which
+  /// is why everything below the scheduler uses the non-blocking lease().
+  WorkerLease acquire();
 
   /// The process-wide budget every CLI-level entry point shares. Defaults
   /// to hardware concurrency; resize it once at startup (before any lease)

@@ -1,11 +1,12 @@
 #include "solver/portfolio.hpp"
 
+#include <atomic>
+#include <exception>
 #include <mutex>
 #include <optional>
 #include <thread>
 
 #include "service/thread_budget.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace ffp {
@@ -68,34 +69,49 @@ SolverResult PortfolioRunner::run(const Graph& g,
   WallTimer timer;
   std::vector<std::optional<SolverResult>> results(
       static_cast<std::size_t>(restarts));
-  unsigned pool_size = 0;
-  {
-    // More workers than restarts would only idle; cap the want. Under a
-    // budget every restart worker holds a leased slot — the calling
-    // thread only blocks, so it is not counted. A fully contended 0 grant
-    // falls back to one unleased worker: the entry thread's own
-    // concurrency.
-    unsigned want = options_.threads == 0
-                        ? std::max(1u, std::thread::hardware_concurrency())
-                        : options_.threads;
-    want = std::min(want, static_cast<unsigned>(restarts));
-    WorkerLease lease;
-    if (options_.budget != nullptr) {
-      lease = options_.budget->lease(want);
-      want = std::max(1u, lease.granted());
-    }
-    ThreadPool pool(want);
-    pool_size = pool.size();
-    parallel_for(pool, restarts, [&](std::int64_t i) {
+  std::vector<std::exception_ptr> errors(results.size());
+  // Every thread takes restart indices from one counter; restart i writes
+  // only slot i, so where it ran cannot change the bytes.
+  std::atomic<int> next{0};
+  const auto run_restarts = [&] {
+    for (int i = next++; i < restarts; i = next++) {
       const auto idx = static_cast<std::size_t>(i);
-      SolverRequest local = request;
-      local.seed = seeds[idx];
-      local.recorder = shared.has_value() ? &*shared : nullptr;
-      if (options_.seed_restart) {
-        options_.seed_restart(static_cast<int>(i), local);
+      try {
+        SolverRequest local = request;
+        local.seed = seeds[idx];
+        local.recorder = shared.has_value() ? &*shared : nullptr;
+        if (options_.seed_restart) options_.seed_restart(i, local);
+        results[idx].emplace(solver_->run(g, local));
+      } catch (...) {
+        errors[idx] = std::current_exception();
       }
-      results[idx].emplace(solver_->run(g, local));
-    });
+    }
+  };
+  unsigned threads = 1;
+  {
+    // The calling thread runs restarts, so it leases only restarts − 1
+    // workers. Under the scheduler the caller is a runner already covered
+    // by its own slot, so live restart threads never exceed the budget. A
+    // 0 grant runs every restart here. The lease is declared first so the
+    // workers join before their slots go back.
+    ThreadBudget& budget = options_.budget != nullptr
+                               ? *options_.budget
+                               : ThreadBudget::process();
+    const WorkerLease lease =
+        budget.lease(static_cast<unsigned>(restarts - 1));
+    std::vector<std::jthread> workers;
+    workers.reserve(lease.granted());
+    for (unsigned w = 0; w < lease.granted(); ++w) {
+      workers.emplace_back(run_restarts);
+    }
+    threads += lease.granted();
+    run_restarts();
+  }
+
+  // The lowest-index failure, not the first to happen: which restart fails
+  // first depends on scheduling.
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
 
   if (options_.on_result) {
@@ -114,7 +130,7 @@ SolverResult PortfolioRunner::run(const Graph& g,
   SolverResult out = std::move(*results[winner]);
   out.seconds = timer.elapsed_seconds();
   out.stats.emplace_back("restarts", static_cast<double>(restarts));
-  out.stats.emplace_back("threads", static_cast<double>(pool_size));
+  out.stats.emplace_back("threads", static_cast<double>(threads));
   out.stats.emplace_back("winner_restart", static_cast<double>(winner));
   return out;
 }

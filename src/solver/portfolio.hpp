@@ -1,7 +1,8 @@
 // Parallel multi-start portfolio over the Solver interface, in the spirit of
-// KaFFPaE's parallel evolutionary restarts: fan N restarts of one solver
-// across a ThreadPool, each with its own seed drawn from a splitmix64
-// stream of the request seed, and keep the best result.
+// KaFFPaE's parallel evolutionary restarts: run N restarts of one solver on
+// the calling thread and up to N − 1 leased worker threads, each with its
+// own seed drawn from a splitmix64 stream of the request seed, and keep the
+// best result.
 // Restarts are the only parallelism inside one job: each restart is one
 // serial solver run, as in KaFFPaE, where individuals evolve in parallel
 // and no single local search is parallelized.
@@ -31,18 +32,17 @@ namespace ffp {
 
 struct PortfolioOptions {
   int restarts = 1;
-  unsigned threads = 0;  ///< 0 → hardware concurrency
-  /// Process-wide governor (service/thread_budget.hpp). When set, the
-  /// restart workers are *leased*: the runner takes min(threads, restarts)
-  /// workers, or fewer when the budget is contended (at least one). Each
-  /// restart is a serial solver run, so the grant bounds the portfolio's
-  /// threads. Null keeps the fixed-size pool.
+  /// The governor the restart workers lease from (service/thread_budget.hpp);
+  /// null uses ThreadBudget::process(). The calling thread runs restarts
+  /// too and leases only restarts − 1 workers, taking fewer when the budget
+  /// is contended — with none, it runs every restart itself. Each restart is
+  /// a serial solver run, so the portfolio's threads are 1 + the grant.
   ThreadBudget* budget = nullptr;
   /// Per-restart request customization (the evolve layer's seeding hook):
-  /// called on the restart's WORKER thread, after the stream seed is set,
-  /// with the restart index and the request the restart will run. Must be
-  /// thread-safe and a pure function of (index, request) — e.g. reading a
-  /// precomputed immutable plan — or the determinism contract breaks.
+  /// called on whichever thread runs the restart, after the stream seed is
+  /// set, with the restart index and the request the restart will run. Must
+  /// be thread-safe and a pure function of (index, request) — e.g. reading
+  /// a precomputed immutable plan — or the determinism contract breaks.
   std::function<void(int restart, SolverRequest& request)> seed_restart = {};
   /// Per-restart result observation (the evolve layer's feedback hook):
   /// called SERIALLY, in restart-index order, after every restart finished
@@ -59,7 +59,9 @@ class PortfolioRunner {
   /// Runs every restart (request.seed is replaced by the restart's stream
   /// seed; request.recorder, if any, receives the merged best-so-far
   /// trajectory) and returns the winner. The winner's stats are augmented
-  /// with portfolio counters: restarts, threads, winner_restart.
+  /// with portfolio counters: restarts, threads, winner_restart. If any
+  /// restart threw, rethrows the lowest-index restart's exception once
+  /// every restart has finished.
   SolverResult run(const Graph& g, const SolverRequest& request) const;
 
   /// The per-restart seeds used for `seed`: a splitmix64 stream, computed

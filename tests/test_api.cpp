@@ -49,7 +49,6 @@ std::vector<int> legacy_pipeline(const Graph& g, const std::string& method,
   if (restarts > 1) {
     PortfolioOptions popt;
     popt.restarts = restarts;
-    popt.threads = budget_size;
     popt.budget = &budget;
     return assignment_of(
         PortfolioRunner(solver, popt).run(g, request).best);

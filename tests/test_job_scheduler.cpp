@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -247,7 +248,6 @@ TEST(JobScheduler, RestartsRunAPortfolioInsideTheJob) {
     ThreadBudget budget(2);
     PortfolioOptions popt;
     popt.restarts = 3;
-    popt.threads = 2;
     popt.budget = &budget;
     const auto team =
         PortfolioRunner(spec.solver, popt).run(*spec.graph, spec.request);
@@ -269,6 +269,81 @@ TEST(JobScheduler, RestartsRunAPortfolioInsideTheJob) {
   JobSpec bad = quick_job(1);
   bad.restarts = 0;
   EXPECT_THROW(scheduler.submit(bad), Error);
+}
+
+/// Counts the runs live at once and the threads they ran on. Each run()
+/// waits, at most about 2 s, until `expected` runs have been live together,
+/// so restarts the budget lets overlap do overlap.
+class LiveCountingSolver final : public Solver {
+ public:
+  explicit LiveCountingSolver(int expected) : expected_(expected) {}
+  std::string name() const override { return "live_counting"; }
+  bool is_metaheuristic() const override { return false; }
+  SolverResult run(const Graph& g,
+                   const SolverRequest& request) const override {
+    {
+      std::unique_lock lock(mu_);
+      max_live_ = std::max(max_live_, ++live_);
+      threads_.push_back(std::this_thread::get_id());
+      changed_.notify_all();
+      changed_.wait_for(lock, std::chrono::seconds(2),
+                        [this] { return max_live_ >= expected_; });
+    }
+    SolverResult result = inner_->run(g, request);
+    std::lock_guard lock(mu_);
+    --live_;
+    return result;
+  }
+
+  int max_live() const {
+    std::lock_guard lock(mu_);
+    return max_live_;
+  }
+  std::vector<std::thread::id> threads() const {
+    std::lock_guard lock(mu_);
+    return threads_;
+  }
+
+ private:
+  const int expected_;
+  SolverPtr inner_ = make_solver("percolation");
+  mutable std::mutex mu_;
+  mutable std::condition_variable changed_;
+  mutable int live_ = 0;
+  mutable int max_live_ = 0;
+  mutable std::vector<std::thread::id> threads_;
+};
+
+// The runner's own slot does work: a 4-restart job at budget 4 runs all
+// four restarts at once (the runner beside 3 leased workers), and at
+// budget 1 the runner runs every restart itself.
+TEST(JobScheduler, PortfolioRunsRestartsOnTheRunnersSlot) {
+  for (const unsigned total : {4u, 1u}) {
+    ThreadBudget budget(total);
+    const auto solver =
+        std::make_shared<LiveCountingSolver>(static_cast<int>(total));
+    JobSpec spec = quick_job(3);
+    spec.solver = solver;
+    spec.restarts = 4;
+    std::thread::id runner;
+    {
+      JobSchedulerOptions options;
+      options.budget = &budget;
+      options.on_terminal = [&runner](std::uint64_t, const JobStatus&) {
+        runner = std::this_thread::get_id();
+      };
+      JobScheduler scheduler(std::move(options));
+      EXPECT_EQ(scheduler.wait(scheduler.submit(spec)).state,
+                JobState::Done);
+    }  // joins the runner, so `runner` is safe to read
+    EXPECT_EQ(solver->max_live(), static_cast<int>(total));
+    EXPECT_LE(budget.peak_in_use(), budget.total());
+    const auto threads = solver->threads();
+    EXPECT_EQ(threads.size(), 4u);
+    if (total == 1) {
+      for (const auto id : threads) EXPECT_EQ(id, runner);
+    }
+  }
 }
 
 TEST(JobScheduler, OnTerminalFiresOncePerJob) {

@@ -79,7 +79,7 @@ TEST(ThreadBudget, AcquireBlocksUntilFree) {
   WorkerLease held = budget.lease(1);
   std::atomic<bool> acquired{false};
   std::thread waiter([&] {
-    WorkerLease slot = budget.acquire(1);
+    WorkerLease slot = budget.acquire();
     acquired.store(true);
   });
   // The waiter must not get through while the slot is held.
@@ -98,7 +98,7 @@ TEST(ThreadBudget, ManyConcurrentAcquirersRespectTheCap) {
   std::vector<std::thread> threads;
   for (int i = 0; i < 12; ++i) {
     threads.emplace_back([&] {
-      WorkerLease slot = budget.acquire(1);
+      WorkerLease slot = budget.acquire();
       const int now = ++active;
       int seen = max_active.load();
       while (now > seen && !max_active.compare_exchange_weak(seen, now)) {

@@ -18,6 +18,7 @@
 // (override with --steps) — the rule lives in
 // api::SolveSpec::resolved_steps(), shared with the daemon, the benches
 // and every embedder.
+#include <climits>
 #include <cstdio>
 #include <string>
 
@@ -109,12 +110,20 @@ int main(int argc, char** argv) {
   }
 
   try {
+    // Range-checked before the narrowing casts, which would silently
+    // change an out-of-range value (2^32 + 2 parts would become 2).
+    const std::int64_t threads_arg = args.get_int("threads");
+    FFP_CHECK(threads_arg >= 0 && threads_arg <= 1 << 20,
+              "--threads must be in [0, 2^20] (0 = hardware concurrency)");
+    const std::int64_t k_arg = args.get_int("k");
+    FFP_CHECK(k_arg >= 1 && k_arg <= INT_MAX, "--k must be in [1, 2^31 - 1]");
+    const std::int64_t restarts_arg = args.get_int("restarts");
+    FFP_CHECK(restarts_arg >= 1 && restarts_arg <= INT_MAX,
+              "--restarts must be in [1, 2^31 - 1]");
+
     const ffp::api::Problem problem =
         ffp::api::Problem::from_any(args.get("graph"));
     std::printf("graph: %s\n", problem.graph().summary().c_str());
-
-    const std::int64_t threads_arg = args.get_int("threads");
-    FFP_CHECK(threads_arg >= 0, "--threads must be >= 0");
 
     // The portfolio leases its restart workers from the process budget
     // sized by --threads. The partition is budget-independent: leases only
@@ -124,12 +133,12 @@ int main(int argc, char** argv) {
 
     ffp::api::SolveSpec spec;
     spec.method = resolve_method_spec(args.get("method"));
-    spec.k = static_cast<int>(args.get_int("k"));
+    spec.k = static_cast<int>(k_arg);
     spec.objective = parse_objective(args.get("objective"));
     spec.seed = static_cast<std::uint64_t>(args.get_int("seed"));
     spec.steps = args.get_int("steps");
     spec.budget_ms = args.get_double("budget-ms");
-    spec.restarts = static_cast<int>(args.get_int("restarts"));
+    spec.restarts = static_cast<int>(restarts_arg);
 
     const ffp::api::ResolvedSpec resolved = spec.resolve();
     const std::int64_t steps = resolved.steps;

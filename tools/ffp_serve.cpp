@@ -220,7 +220,8 @@ int main(int argc, char** argv) {
       return 0;
     }
     const std::int64_t runners = args.get_int("runners");
-    FFP_CHECK(runners >= 1, "--runners must be >= 1");
+    FFP_CHECK(runners >= 1 && runners <= 1 << 20,
+              "--runners must be in [1, 2^20]");
     const std::int64_t cache_entries = args.get_int("cache-entries");
     FFP_CHECK(cache_entries >= 0 && cache_entries <= 1 << 20,
               "--cache-entries must be in [0, 2^20]");
