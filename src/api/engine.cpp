@@ -8,6 +8,7 @@
 #include "evolve/plan.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/journal.hpp"
+#include "util/fnv.hpp"
 #include "util/strings.hpp"
 
 namespace ffp::api {
@@ -17,20 +18,11 @@ namespace {
 /// On-disk cache entry format version (persist::read_records framing).
 constexpr std::uint32_t kCacheEntryVersion = 1;
 
-std::uint64_t fnv1a64(std::string_view text) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// Deterministic file name for one persisted cache entry: any process
 /// maps the same key to the same file (the eviction hook relies on it).
 std::string cache_entry_name(const std::string& key) {
   return format("e-%016llx.rec",
-                static_cast<unsigned long long>(fnv1a64(key)));
+                static_cast<unsigned long long>(fnv1a(key, kFnvBasisShort)));
 }
 
 /// `key=value` lines -> map, splitting at the FIRST '=' (values may
@@ -58,10 +50,9 @@ const std::string& payload_field(
 
 }  // namespace
 
-/// The state handles share with their engine: the scheduler, the cache,
-/// and the per-job bookkeeping the scheduler hooks dispatch on.
-struct SolveHandle::EngineState {
-  explicit EngineState(const EngineOptions& options)
+/// The engine's internals: the scheduler and what its jobs' hooks feed.
+struct Engine::State {
+  explicit State(const EngineOptions& options)
       // A state dir implies a result cache (durable entries need an
       // in-memory tier to reload into); an explicit capacity wins.
       : cache(options.cache_capacity == 0 && !options.state_dir.empty()
@@ -77,13 +68,6 @@ struct SolveHandle::EngineState {
     sched.budget = options.budget;
     sched.max_queued = options.max_queued;
     sched.overload_retry_after_ms = options.overload_retry_after_ms;
-    sched.on_improvement = [this](std::uint64_t job, double seconds,
-                                  double value) {
-      handle_improvement(job, seconds, value);
-    };
-    sched.on_terminal = [this](std::uint64_t job, const JobStatus& status) {
-      finalize(job, status);
-    };
     if (!state_dir.empty()) {
       persist::ensure_dir(state_dir);
       persist::ensure_dir(state_dir + "/cache");
@@ -100,76 +84,6 @@ struct SolveHandle::EngineState {
   }
 
   static constexpr std::size_t kDefaultDurableCacheCapacity = 64;
-
-  struct Pending {
-    std::string cache_key;  ///< empty: not cacheable
-    /// Problem::from_any form of the graph source, for the durable cache
-    /// entry (empty when this job is not persisted).
-    std::string graph_source;
-    ImprovementFn on_improvement;
-    /// Fired exactly once by finalize(), for any terminal state, after
-    /// the cache/archive feedback — the async delivery channel the event
-    /// loop's sessions use instead of blocking in wait().
-    TerminalFn on_terminal;
-    /// Archive feedback: Done results admit into this population (every
-    /// finished solve grows the archive, evolve-mode or not).
-    evolve::PopulationKey population;
-    bool feed_archive = false;
-  };
-
-  void handle_improvement(std::uint64_t job, double seconds, double value) {
-    ImprovementFn fn;
-    {
-      std::lock_guard lock(mu);
-      const auto it = pending.find(job);
-      if (it == pending.end() || !it->second.on_improvement) return;
-      fn = it->second.on_improvement;
-    }
-    // Invoked outside mu so a slow consumer stalls only its own runner
-    // thread. Safe against unregistration: improvements fire synchronously
-    // from inside the solve, strictly before the job's terminal transition
-    // — anyone who waited for terminal can never observe an in-flight call.
-    fn(seconds, value);
-  }
-
-  /// Exactly-once job finalization: feeds the cache and drops the
-  /// callbacks. Raced by the scheduler's on_terminal hook AND by any
-  /// handle observing a terminal status (so a wait() returning Done is
-  /// guaranteed to see the result cached before it returns); the pending
-  /// entry is the tie-breaker.
-  void finalize(std::uint64_t job, const JobStatus& status) {
-    std::string key;
-    std::string source;
-    TerminalFn done;
-    evolve::PopulationKey population;
-    bool feed = false;
-    {
-      std::lock_guard lock(mu);
-      const auto it = pending.find(job);
-      if (it == pending.end()) return;
-      key = std::move(it->second.cache_key);
-      source = std::move(it->second.graph_source);
-      done = std::move(it->second.on_terminal);
-      population = it->second.population;
-      feed = it->second.feed_archive;
-      pending.erase(it);
-    }
-    if (status.state == JobState::Done) {
-      cache.put(key, status.result);
-      persist_cache_entry(key, source, status.result.get());
-      if (feed && status.result != nullptr) {
-        // Cross-job learning: every finished partition is offered to its
-        // population (exact duplicates are rejected there, so the evolve
-        // per-restart feedback and this winner feedback never double up).
-        archive.admit(population, status.result->best.assignment(),
-                      status.result->best_value);
-      }
-    }
-    // After the cache/archive feed: a terminal notification implies the
-    // result is observable through the cache. Outside mu — the callback
-    // may re-enter the engine (status probes, even submits).
-    if (done) done(status);
-  }
 
   /// Durable twin of cache.put(): the finished result as one atomic CRC-
   /// framed file under state_dir/cache. Best-effort — a full disk must
@@ -244,72 +158,64 @@ struct SolveHandle::EngineState {
     const std::string expect =
         format("g%016llx|", static_cast<unsigned long long>(problem.digest()));
     FFP_CHECK(key.rfind(expect, 0) == 0, "cache entry digest mismatch");
-    std::shared_ptr<const Graph> g = problem.share();
-    SolverResult res{Partition::from_assignment(*g, parts), value, seconds,
-                     {}};
-    // Results reference their graph; pin it for the engine's lifetime.
-    pinned_graphs.push_back(std::move(g));
-    cache.put(key, std::make_shared<const SolverResult>(std::move(res)));
+    SolverResult res{Partition::from_assignment(problem.graph(), parts),
+                     value, seconds, {}};
+    cache.put(key, share_result(std::move(res), problem.share()));
+  }
+
+  /// A job's terminal-path step 1 (job_scheduler.hpp): a Done result goes
+  /// into the cache, the durable cache and the archive before the job
+  /// reads terminal, so a waiter woken by Done finds it cached.
+  void on_finish(const std::string& key, const std::string& source,
+                 const evolve::PopulationKey& population, bool feed_archive,
+                 const JobStatus& status) {
+    if (status.state != JobState::Done) return;
+    cache.put(key, status.result);
+    persist_cache_entry(key, source, status.result.get());
+    if (feed_archive) {
+      // Cross-job learning: every finished partition is offered to its
+      // population (exact duplicates are rejected there, so the evolve
+      // per-restart feedback and this winner feedback never double up).
+      archive.admit(population, status.result->best.assignment(),
+                    status.result->best_value);
+    }
   }
 
   ResultCache cache;
-  std::mutex mu;
-  std::map<std::uint64_t, Pending> pending;
   const std::string state_dir;  ///< empty: persistence off
   std::unique_ptr<persist::Journal> journal;
-  /// Graphs backing reloaded cache entries (Partition holds a Graph*).
-  std::vector<std::shared_ptr<const Graph>> pinned_graphs;
   std::size_t recovered_count = 0;
-  /// Declared before the scheduler: portfolio feedback closures hold a raw
-  /// pointer to it, so it must outlive the runner threads.
+  /// Declared before the scheduler: job hooks and portfolio feedback
+  /// closures hold raw pointers into this state.
   evolve::EliteArchive archive;
-  /// Last member: destroyed (and its runner threads joined) first, so the
-  /// hooks above can never fire into a dead EngineState.
+  /// Last member: destroyed first, and it finishes every job (hooks
+  /// included) before it dies, so no hook can fire into a dead State.
   std::unique_ptr<JobScheduler> scheduler;
 };
 
-namespace {
-
-bool is_terminal(JobState state) {
-  return state == JobState::Done || state == JobState::Cancelled ||
-         state == JobState::Failed;
-}
-
-}  // namespace
-
 JobStatus SolveHandle::poll() const {
   FFP_CHECK(valid(), "poll on an empty SolveHandle");
-  if (cached()) return *immediate_;
-  const JobStatus status = impl_->scheduler->status(job_);
-  if (is_terminal(status.state)) impl_->finalize(job_, status);
-  return status;
+  return cached() ? *immediate_ : job_->status();
 }
 
 JobStatus SolveHandle::wait() const {
   FFP_CHECK(valid(), "wait on an empty SolveHandle");
-  if (cached()) return *immediate_;
-  const JobStatus status = impl_->scheduler->wait(job_);
-  impl_->finalize(job_, status);
-  return status;
+  return cached() ? *immediate_ : job_->wait();
 }
 
 std::optional<JobStatus> SolveHandle::wait_for(double timeout_ms) const {
   FFP_CHECK(valid(), "wait_for on an empty SolveHandle");
   if (cached()) return *immediate_;
-  const std::optional<JobStatus> status =
-      impl_->scheduler->wait_for(job_, timeout_ms);
-  if (status.has_value()) impl_->finalize(job_, *status);
-  return status;
+  return job_->wait_for(timeout_ms);
 }
 
 bool SolveHandle::cancel() const {
   FFP_CHECK(valid(), "cancel on an empty SolveHandle");
-  if (cached()) return false;
-  return impl_->scheduler->cancel(job_);
+  return !cached() && job_->cancel();
 }
 
 Engine::Engine(EngineOptions options)
-    : impl_(std::make_shared<SolveHandle::EngineState>(options)) {
+    : impl_(std::make_unique<State>(options)) {
   recover();
 }
 
@@ -335,7 +241,7 @@ SolveHandle Engine::submit(const Problem& problem, const SolveSpec& spec,
       status->state = JobState::Done;
       status->seconds = 0.0;  // nothing ran; result->seconds has the solve
       status->result = std::move(hit);
-      return SolveHandle(impl_, 0, std::move(status));
+      return SolveHandle(std::shared_ptr<const JobStatus>(std::move(status)));
     }
   }
 
@@ -377,9 +283,7 @@ SolveHandle Engine::submit(const Problem& problem, const SolveSpec& spec,
                                                  SolverRequest& request) {
       evolve::apply_restart_seed(*plan, *graph, restart, request);
     };
-    // Raw pointer, not the shared EngineState: the archive outlives the
-    // scheduler by member order, and a shared_ptr here would cycle
-    // (state -> scheduler -> job -> closure -> state).
+    // Raw pointer: the archive outlives the scheduler by member order.
     job.on_restart_result = [archive = &impl_->archive, population](
                                 int, const SolverResult& result) {
       archive->admit(population, result.best.assignment(),
@@ -427,21 +331,16 @@ SolveHandle Engine::submit(const Problem& problem, const SolveSpec& spec,
     }
   }
 
-  std::uint64_t id = 0;
-  {
-    // Submit and register under one lock: the scheduler's hooks (which
-    // lock the same mutex) cannot observe the gap between the scheduler
-    // knowing the job and the engine knowing its callbacks.
-    std::lock_guard lock(impl_->mu);
-    id = impl_->scheduler->submit(std::move(job));
-    impl_->pending.emplace(
-        id, SolveHandle::EngineState::Pending{std::move(key),
-                                              std::move(graph_source),
-                                              std::move(on_improvement),
-                                              std::move(on_terminal),
-                                              population, feed_archive});
-  }
-  return SolveHandle(impl_, id, nullptr);
+  job.on_improvement = std::move(on_improvement);
+  // Raw pointer: the scheduler is the state's last member and finishes
+  // every job before the rest of the state dies.
+  job.on_finish = [state = impl_.get(), key = std::move(key),
+                   source = std::move(graph_source), population,
+                   feed_archive](const JobStatus& status) {
+    state->on_finish(key, source, population, feed_archive, status);
+  };
+  job.on_terminal = std::move(on_terminal);
+  return SolveHandle(impl_->scheduler->submit(std::move(job)));
 }
 
 /// The Problem::from_any form of a problem's source — what both the
@@ -549,23 +448,7 @@ SolverResult Engine::solve(const Problem& problem, const SolveSpec& spec,
   return *status.result;
 }
 
-void Engine::drain() {
-  impl_->scheduler->drain();
-  // The scheduler's drain wakes on the terminal STATE; the runner thread
-  // may still be inside its on_terminal hook. Handles finalize on observe
-  // (poll/wait); drain has no handle, so finalize the stragglers here —
-  // otherwise "drain, then resubmit" could miss a result that is still
-  // being cached. The pending map is the exactly-once tie-breaker.
-  std::vector<std::uint64_t> ids;
-  {
-    std::lock_guard lock(impl_->mu);
-    ids.reserve(impl_->pending.size());
-    for (const auto& [id, entry] : impl_->pending) ids.push_back(id);
-  }
-  for (const std::uint64_t id : ids) {
-    impl_->finalize(id, impl_->scheduler->status(id));
-  }
-}
+void Engine::drain() { impl_->scheduler->drain(); }
 
 CacheCounters Engine::cache_counters() const { return impl_->cache.counters(); }
 

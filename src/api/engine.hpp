@@ -11,10 +11,14 @@
 // SolveSpec) in a small LRU, so repeat submissions cost a lookup instead
 // of a solve. Cache hits come back as already-terminal handles.
 //
-// Lifetime: handles share ownership of the engine internals, so a handle
-// outliving its Engine can still be waited on (the engine's destructor
-// cancels what is queued and lets running jobs finish, exactly like the
-// scheduler it wraps).
+// Lifetime: a handle shares its job record (service/job_scheduler.hpp)
+// with the scheduler, which holds the job only while it is queued or
+// running; a finished job belongs to its handles and is freed with the
+// last one. The engine's destructor cancels what is queued and lets
+// running jobs finish, so a handle outliving its Engine can still be
+// waited on and cancelled (cancel() is then false). Shared results co-own
+// their graph, so a result outlives its job, its Problem and a cache
+// eviction.
 #pragma once
 
 #include <cstdint>
@@ -71,15 +75,14 @@ struct EngineOptions {
 /// thread-safe against the caller's own state.
 using ImprovementFn = std::function<void(double seconds, double value)>;
 
-/// Per-solve terminal notification: fired exactly once, after the result
-/// has been cached and fed to the elite archive, for ANY terminal state
-/// (Done, Failed, Cancelled). Called from whichever thread finalizes the
-/// job — usually an engine runner, but possibly a handle's poll/wait path
-/// — so it must be thread-safe and must not block. Cache hits never fire
-/// it (the handle is already terminal at submit; poll it first).
+/// Per-solve terminal notification: fired exactly once, for ANY terminal
+/// state (Done, Failed, Cancelled), after the result has been cached and
+/// fed to the elite archive and after the handle reads terminal. Called
+/// from the thread that ended the job — an engine runner, or the thread
+/// that cancelled it in the queue or shut the engine down — so it must be
+/// thread-safe and must neither block nor throw. Cache hits never fire it
+/// (the handle is already terminal at submit; poll it first).
 using TerminalFn = std::function<void(const JobStatus& status)>;
-
-class Engine;
 
 /// Async handle on one submitted solve. Cheap to copy; the default-
 /// constructed handle is invalid. All methods are thread-safe.
@@ -87,11 +90,11 @@ class SolveHandle {
  public:
   SolveHandle() = default;
 
-  bool valid() const { return impl_ != nullptr; }
+  bool valid() const { return job_ != nullptr || cached(); }
   /// True when the solve was served from the result cache (already
   /// terminal at submit; job_id() is 0).
   bool cached() const { return immediate_ != nullptr; }
-  std::uint64_t job_id() const { return job_; }
+  std::uint64_t job_id() const { return job_ != nullptr ? job_->id() : 0; }
 
   /// Point-in-time status (state, seconds, progress trajectory, result
   /// once terminal).
@@ -110,13 +113,11 @@ class SolveHandle {
 
  private:
   friend class Engine;
-  struct EngineState;
-  SolveHandle(std::shared_ptr<EngineState> impl, std::uint64_t job,
-              std::shared_ptr<const JobStatus> immediate)
-      : impl_(std::move(impl)), job_(job), immediate_(std::move(immediate)) {}
+  explicit SolveHandle(std::shared_ptr<Job> job) : job_(std::move(job)) {}
+  explicit SolveHandle(std::shared_ptr<const JobStatus> immediate)
+      : immediate_(std::move(immediate)) {}
 
-  std::shared_ptr<EngineState> impl_;
-  std::uint64_t job_ = 0;
+  std::shared_ptr<Job> job_;
   std::shared_ptr<const JobStatus> immediate_;  ///< cache hits only
 };
 
@@ -143,7 +144,8 @@ class Engine {
   SolverResult solve(const Problem& problem, const SolveSpec& spec,
                      ImprovementFn on_improvement = {});
 
-  /// Blocks until every submitted solve is terminal.
+  /// Blocks until every submitted solve is terminal and its result is in
+  /// the cache, the durable cache and the archive.
   void drain();
 
   CacheCounters cache_counters() const;
@@ -187,7 +189,8 @@ class Engine {
                                    const SolveSpec& spec,
                                    const ResolvedSpec& resolved);
 
-  std::shared_ptr<SolveHandle::EngineState> impl_;
+  struct State;
+  std::unique_ptr<State> impl_;
 };
 
 }  // namespace ffp::api

@@ -6,25 +6,12 @@
 
 #include "atc/core_area.hpp"
 #include "graph/generators.hpp"
+#include "util/fnv.hpp"
 #include "util/strings.hpp"
 
 namespace ffp::api {
 
 namespace {
-
-/// FNV-1a 64-bit, fed machine words; doubles go in by bit pattern so the
-/// digest is exact, not rounded.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-
-  void mix(std::uint64_t x) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (x >> (byte * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  void mix(double x) { mix(std::bit_cast<std::uint64_t>(x)); }
-};
 
 struct GeneratorArgs {
   std::vector<double> args;
@@ -125,14 +112,19 @@ bool is_generator_family(std::string_view family) {
 }  // namespace
 
 std::uint64_t graph_digest(const Graph& g) {
-  Fnv fnv;
-  fnv.mix(static_cast<std::uint64_t>(g.num_vertices()));
-  fnv.mix(static_cast<std::uint64_t>(g.num_edges()));
-  for (const ArcId x : g.xadj()) fnv.mix(static_cast<std::uint64_t>(x));
-  for (const VertexId v : g.adj()) fnv.mix(static_cast<std::uint64_t>(v));
-  for (const Weight w : g.arc_weights()) fnv.mix(w);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) fnv.mix(g.vertex_weight(v));
-  return fnv.h;
+  // FNV-1a over machine words; weights go in by bit pattern so the digest
+  // is exact, not rounded.
+  std::uint64_t h = kFnvBasisShort;
+  const auto mix = [&h](std::uint64_t word) { h = fnv1a_word(word, h); };
+  mix(static_cast<std::uint64_t>(g.num_vertices()));
+  mix(static_cast<std::uint64_t>(g.num_edges()));
+  for (const ArcId x : g.xadj()) mix(static_cast<std::uint64_t>(x));
+  for (const VertexId v : g.adj()) mix(static_cast<std::uint64_t>(v));
+  for (const Weight w : g.arc_weights()) mix(std::bit_cast<std::uint64_t>(w));
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    mix(std::bit_cast<std::uint64_t>(g.vertex_weight(v)));
+  }
+  return h;
 }
 
 Problem Problem::from_graph(Graph g) {

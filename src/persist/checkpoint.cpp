@@ -4,27 +4,15 @@
 
 #include "persist/atomic_file.hpp"
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 #include "util/strings.hpp"
 
 namespace ffp::persist {
 
-namespace {
-
-std::uint64_t fnv1a(std::string_view data, std::uint64_t h) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kPrime;
-  }
-  return h;
-}
-
-}  // namespace
-
 std::string keyed_record_path(const std::string& dir, std::string_view stem,
                               std::uint64_t graph_digest,
                               const std::string& key) {
-  std::uint64_t h = fnv1a(key, 14695981039346656037ull);
+  std::uint64_t h = fnv1a(key, kFnvBasis);
   char digest_bytes[8];
   for (int i = 0; i < 8; ++i) {
     digest_bytes[i] = static_cast<char>((graph_digest >> (8 * i)) & 0xff);

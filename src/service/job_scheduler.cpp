@@ -7,9 +7,18 @@
 
 #include "persist/journal.hpp"
 #include "solver/portfolio.hpp"
-#include "util/timer.hpp"
 
 namespace ffp {
+
+namespace {
+
+JobStatus status_of(JobState state) {
+  JobStatus out;
+  out.state = state;
+  return out;
+}
+
+}  // namespace
 
 std::string_view to_string(JobState state) {
   switch (state) {
@@ -22,12 +31,12 @@ std::string_view to_string(JobState state) {
   return "unknown";
 }
 
-void JobScheduler::ProgressRecorder::start() {
+void Job::ProgressRecorder::start() {
   std::lock_guard lock(mu_);
   AnytimeRecorder::start();
 }
 
-void JobScheduler::ProgressRecorder::record(double best_value) {
+void Job::ProgressRecorder::record(double best_value) {
   Point point{};
   {
     std::lock_guard lock(mu_);
@@ -35,16 +44,68 @@ void JobScheduler::ProgressRecorder::record(double best_value) {
     point = points().back();
   }
   // Outside the recorder lock: the hook may do arbitrary (slow) I/O.
-  if (scheduler_->options_.on_improvement) {
-    scheduler_->options_.on_improvement(job_->id, point.seconds,
-                                        point.best_value);
+  if (spec_.on_improvement) {
+    spec_.on_improvement(point.seconds, point.best_value);
   }
 }
 
-std::vector<AnytimeRecorder::Point> JobScheduler::ProgressRecorder::snapshot()
-    const {
+std::vector<AnytimeRecorder::Point> Job::ProgressRecorder::snapshot() const {
   std::lock_guard lock(mu_);
   return points();
+}
+
+Job::Job(JobScheduler* scheduler, std::uint64_t id, JobSpec spec)
+    : scheduler_(scheduler),
+      id_(id),
+      spec_(std::move(spec)),
+      recorder_(spec_) {}
+
+JobStatus Job::status_locked() const {
+  JobStatus out = outcome_;
+  if (out.state == JobState::Running) {
+    out.seconds = run_timer_.elapsed_seconds();
+  }
+  out.progress = recorder_.snapshot();
+  return out;
+}
+
+JobStatus Job::status() const {
+  std::lock_guard lock(mu_);
+  return status_locked();
+}
+
+JobStatus Job::wait() const {
+  std::unique_lock lock(mu_);
+  terminal_cv_.wait(lock, [this] { return is_terminal(outcome_.state); });
+  return status_locked();
+}
+
+std::optional<JobStatus> Job::wait_for(double timeout_ms) const {
+  std::unique_lock lock(mu_);
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double, std::milli>(std::max(0.0, timeout_ms)));
+  const auto done = [this] { return is_terminal(outcome_.state); };
+  if (!terminal_cv_.wait_until(lock, deadline, done)) return std::nullopt;
+  return status_locked();
+}
+
+bool Job::cancel() {
+  std::unique_lock lock(mu_);
+  if (is_terminal(outcome_.state)) return false;
+  if (outcome_.state == JobState::Queued) {
+    if (auto queued = scheduler_->dequeue(*this)) {
+      lock.unlock();
+      scheduler_->finish(std::move(queued), status_of(JobState::Cancelled));
+      return true;
+    }
+  }
+  // Running, or just claimed by a runner or the shutdown sweep: the flag
+  // stops the solver at its next StopCondition check (or keeps it from
+  // starting), and whoever holds the job finishes it.
+  cancel_flag_.store(true, std::memory_order_relaxed);
+  return true;
 }
 
 JobScheduler::JobScheduler(JobSchedulerOptions options)
@@ -60,7 +121,7 @@ JobScheduler::JobScheduler(JobSchedulerOptions options)
 
 JobScheduler::~JobScheduler() { shutdown(); }
 
-std::uint64_t JobScheduler::submit(JobSpec spec) {
+std::shared_ptr<Job> JobScheduler::submit(JobSpec spec) {
   FFP_CHECK(spec.graph != nullptr, "job needs a graph");
   FFP_CHECK(spec.graph->num_vertices() >= 1, "job graph is empty");
   FFP_CHECK(spec.solver != nullptr, "job needs a solver");
@@ -68,7 +129,7 @@ std::uint64_t JobScheduler::submit(JobSpec spec) {
   FFP_CHECK(spec.restarts >= 1, "job needs restarts >= 1");
   FFP_CHECK(spec.queue_ttl_ms >= 0, "job queue TTL must be >= 0");
 
-  std::uint64_t id = 0;
+  std::shared_ptr<Job> job;
   {
     std::lock_guard lock(mu_);
     if (stopping_) {
@@ -85,7 +146,7 @@ std::uint64_t JobScheduler::submit(JobSpec spec) {
               std::to_string(options_.max_queued) + ")",
           options_.overload_retry_after_ms);
     }
-    id = next_id_++;
+    const std::uint64_t id = next_id_++;
     if (options_.journal != nullptr && !spec.journal_payload.empty()) {
       // WAL discipline: the submitted record is durable before the job
       // becomes visible to runners. If the append throws, the submit
@@ -93,155 +154,78 @@ std::uint64_t JobScheduler::submit(JobSpec spec) {
       // an idempotent resubmission on recovery.
       options_.journal->submitted(id, spec.journal_payload);
     }
-    auto job = std::make_unique<Job>();
-    job->id = id;
-    job->spec = std::move(spec);
-    job->recorder = std::make_unique<ProgressRecorder>(this, job.get());
-    queue_.emplace(-job->spec.priority, id);
-    jobs_.emplace(id, std::move(job));
+    job.reset(new Job(this, id, std::move(spec)));
+    queue_.emplace(std::pair{-job->spec_.priority, id}, job);
+    ++live_;
   }
   queue_cv_.notify_one();
-  return id;
+  return job;
 }
 
-bool JobScheduler::cancel(std::uint64_t id) {
-  std::unique_lock lock(mu_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return false;
-  Job& job = *it->second;
-  if (terminal(job.state)) return false;
-  if (job.state == JobState::Queued) {
-    queue_.erase({-job.spec.priority, id});
-    job.state = JobState::Cancelled;
-    ++completed_;
-    lock.unlock();
-    changed_cv_.notify_all();
-    notify_terminal(id);
-    return true;
-  }
-  // Running (or claimed and waiting for budget): the flag stops the solver
-  // at its next StopCondition check; the runner finalizes the state.
-  job.cancel_flag.store(true, std::memory_order_relaxed);
-  return true;
-}
-
-JobStatus JobScheduler::status_locked(const Job& job) const {
-  JobStatus out;
-  out.state = job.state;
-  out.seconds =
-      job.state == JobState::Running ? job.timer.elapsed_seconds() : job.seconds;
-  out.error = job.error;
-  out.error_code = job.error_code;
-  out.progress = job.recorder->snapshot();
-  out.result = job.result;
-  return out;
-}
-
-JobStatus JobScheduler::status(std::uint64_t id) const {
+std::shared_ptr<Job> JobScheduler::dequeue(const Job& job) {
   std::lock_guard lock(mu_);
-  const auto it = jobs_.find(id);
-  FFP_CHECK(it != jobs_.end(), "unknown job id ", id);
-  return status_locked(*it->second);
-}
-
-JobStatus JobScheduler::wait(std::uint64_t id) {
-  std::unique_lock lock(mu_);
-  const auto it = jobs_.find(id);
-  FFP_CHECK(it != jobs_.end(), "unknown job id ", id);
-  Job& job = *it->second;
-  changed_cv_.wait(lock, [&] { return terminal(job.state); });
-  return status_locked(job);
-}
-
-std::optional<JobStatus> JobScheduler::wait_for(std::uint64_t id,
-                                                double timeout_ms) {
-  std::unique_lock lock(mu_);
-  const auto it = jobs_.find(id);
-  FFP_CHECK(it != jobs_.end(), "unknown job id ", id);
-  Job& job = *it->second;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(std::max(0.0, timeout_ms)));
-  if (!changed_cv_.wait_until(lock, deadline,
-                              [&] { return terminal(job.state); })) {
-    return std::nullopt;
-  }
-  return status_locked(job);
+  auto node = queue_.extract({-job.spec_.priority, job.id_});
+  return node.empty() ? nullptr : std::move(node.mapped());
 }
 
 void JobScheduler::drain() {
   std::unique_lock lock(mu_);
-  changed_cv_.wait(lock, [this] {
-    return completed_ == static_cast<std::int64_t>(jobs_.size());
-  });
+  idle_cv_.wait(lock, [this] { return live_ == 0; });
 }
 
 void JobScheduler::shutdown() {
-  std::vector<std::uint64_t> swept;
+  std::vector<std::shared_ptr<Job>> swept;
   {
     std::lock_guard lock(mu_);
     stopping_ = true;
     // Cancel everything still queued; running jobs finish on their own.
-    for (const auto& [neg_priority, id] : queue_) {
-      (void)neg_priority;
-      Job& job = *jobs_.at(id);
-      job.state = JobState::Cancelled;
-      ++completed_;
-      swept.push_back(id);
-    }
+    for (auto& [key, job] : queue_) swept.push_back(std::move(job));
     queue_.clear();
   }
   queue_cv_.notify_all();
-  changed_cv_.notify_all();
-  for (const std::uint64_t id : swept) notify_terminal(id);
+  for (auto& job : swept) {
+    finish(std::move(job), status_of(JobState::Cancelled));
+  }
   for (auto& runner : runners_) {
     if (runner.joinable()) runner.join();
   }
-}
-
-std::int64_t JobScheduler::jobs_completed() const {
-  std::lock_guard lock(mu_);
-  return completed_;
+  // A job cancelled out of the queue on another thread may still be on
+  // its terminal path; its hooks must not outlive the scheduler.
+  drain();
 }
 
 void JobScheduler::runner_loop() {
   for (;;) {
-    Job* job = nullptr;
+    std::shared_ptr<Job> job;
     {
       std::unique_lock lock(mu_);
       queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;  // spurious wakeup
-      }
-      const auto it = queue_.begin();
-      job = jobs_.at(it->second).get();
-      queue_.erase(it);
-      // Queue TTL: a job that outwaited its deadline expires with a
-      // structured error instead of running — by now its caller has given
-      // up, and a runner burned on it would only delay live jobs further.
-      const double queued_ms = job->queued_timer.elapsed_millis();
-      if (job->spec.queue_ttl_ms > 0 && queued_ms > job->spec.queue_ttl_ms) {
-        job->state = JobState::Failed;
-        job->error_code = ErrCode::QueueExpired;
-        job->error = "expired in queue after " +
-                     std::to_string(queued_ms) + " ms (queue_ttl_ms = " +
-                     std::to_string(job->spec.queue_ttl_ms) + ")";
-        job->seconds = 0.0;
-        ++completed_;
-        lock.unlock();
-        changed_cv_.notify_all();
-        notify_terminal(job->id);
-        continue;
-      }
-      job->state = JobState::Running;
-      job->timer.reset();
+      if (queue_.empty()) return;  // stopping; the sweep took the rest
+      job = std::move(queue_.begin()->second);
+      queue_.erase(queue_.begin());
     }
-    if (options_.journal != nullptr && !job->spec.journal_payload.empty()) {
-      // Outside mu_ (the append fsyncs); spec is immutable after submit.
+    // Queue TTL: a job that outwaited its deadline expires with a
+    // structured error instead of running — by now its caller has given
+    // up, and a runner burned on it would only delay live jobs further.
+    const double queued_ms = job->queued_timer_.elapsed_millis();
+    if (job->spec_.queue_ttl_ms > 0 && queued_ms > job->spec_.queue_ttl_ms) {
+      JobStatus expired = status_of(JobState::Failed);
+      expired.error_code = ErrCode::QueueExpired;
+      expired.error = "expired in queue after " + std::to_string(queued_ms) +
+                      " ms (queue_ttl_ms = " +
+                      std::to_string(job->spec_.queue_ttl_ms) + ")";
+      finish(std::move(job), std::move(expired));
+      continue;
+    }
+    {
+      std::lock_guard lock(job->mu_);
+      job->outcome_.state = JobState::Running;
+      job->run_timer_.reset();
+    }
+    if (options_.journal != nullptr && !job->spec_.journal_payload.empty()) {
+      // Outside any lock (the append fsyncs); spec is immutable.
       try {
-        options_.journal->started(job->id);
+        options_.journal->started(job->id_);
       } catch (const std::exception&) {
         // A failed started record never fails the job — it only widens
         // the recovery window back to "submitted".
@@ -252,53 +236,74 @@ void JobScheduler::runner_loop() {
     // protocol, safe exactly here because the runner holds nothing while
     // waiting (thread_budget.hpp).
     WorkerLease self = budget_->acquire();
-    if (job->cancel_flag.load(std::memory_order_relaxed)) {
-      std::lock_guard lock(mu_);
-      job->state = JobState::Cancelled;
-      job->seconds = job->timer.elapsed_seconds();
-      ++completed_;
+    JobStatus outcome = status_of(JobState::Cancelled);
+    if (job->cancel_flag_.load(std::memory_order_relaxed)) {
+      outcome.seconds = job->run_timer_.elapsed_seconds();
     } else {
-      run_job(*job);
+      outcome = run(*job);
     }
     self.release();
-    changed_cv_.notify_all();
-    notify_terminal(job->id);
+    finish(std::move(job), std::move(outcome));
   }
 }
 
-void JobScheduler::notify_terminal(std::uint64_t id) {
-  JobStatus status;
-  bool journaled = false;
+void JobScheduler::finish(std::shared_ptr<Job> job, JobStatus outcome) {
   {
-    std::lock_guard lock(mu_);
-    const Job& job = *jobs_.at(id);
-    status = status_locked(job);
-    journaled =
-        options_.journal != nullptr && !job.spec.journal_payload.empty();
-  }
-  // Order matters: on_terminal persists the engine's durable cache entry
-  // FIRST, so by the time the journal's terminal record lands the result
-  // is already on disk. A crash between the two resubmits the job on
-  // recovery — duplicated work, never lost work.
-  if (options_.on_terminal) options_.on_terminal(id, status);
-  if (journaled) {
-    try {
-      options_.journal->terminal(id, std::string(to_string(status.state)));
-    } catch (const std::exception&) {
-      // Journal damage must not take the scheduler down; the record is
-      // re-derived from a resubmission after restart.
+    const JobSpec& spec = job->spec_;
+    // Scoped: its result (and so the graph) is released before drain()
+    // can return.
+    JobStatus final_status = outcome;
+    final_status.progress = job->recorder_.snapshot();
+    // 1. Before anyone can observe the terminal state.
+    if (spec.on_finish) spec.on_finish(final_status);
+    // 2. Publish and wake the job's waiters. The trajectory stays in the
+    // recorder, which status() reads.
+    {
+      std::lock_guard lock(job->mu_);
+      job->outcome_ = std::move(outcome);
+      completed_.fetch_add(1, std::memory_order_relaxed);
+    }
+    job->terminal_cv_.notify_all();
+    // 3. After publication: a deliverer that found the job non-terminal
+    // and registered interest is answered here.
+    if (spec.on_terminal) spec.on_terminal(final_status);
+    // 4. Last: a terminal record implies whatever on_finish persisted (the
+    // engine's durable cache entry) is already on disk. A crash before it
+    // resubmits the job on recovery — duplicated work, never lost work.
+    if (options_.journal != nullptr && !spec.journal_payload.empty()) {
+      try {
+        options_.journal->terminal(job->id_,
+                                   std::string(to_string(final_status.state)));
+      } catch (const std::exception&) {
+        // Journal damage must not take the scheduler down; the record is
+        // re-derived from a resubmission after restart.
+      }
     }
   }
+  // A finished job keeps its status, not its spec: the graph reference,
+  // the solver and the hooks' captures go now, not with the last handle
+  // (and are destroyed after the lock is released).
+  {
+    JobSpec spent;
+    std::lock_guard lock(job->mu_);
+    std::swap(spent, job->spec_);
+  }
+  // The scheduler's last reference: the job now belongs to its callers.
+  job.reset();
+  {
+    std::lock_guard lock(mu_);
+    --live_;
+  }
+  idle_cv_.notify_all();
 }
 
-void JobScheduler::run_job(Job& job) {
-  const JobSpec& spec = job.spec;
+JobStatus JobScheduler::run(Job& job) {
+  const JobSpec& spec = job.spec_;
   SolverRequest request = spec.request;
-  request.recorder = job.recorder.get();
-  request.stop.set_cancel_flag(&job.cancel_flag);
+  request.recorder = &job.recorder_;
+  request.stop.set_cancel_flag(&job.cancel_flag_);
 
-  std::shared_ptr<const SolverResult> result;
-  std::string error;
+  JobStatus outcome;
   try {
     if (spec.restarts > 1 || spec.seed_restart || spec.on_restart_result) {
       // Portfolio multi-start inside the job: restart workers lease from
@@ -311,29 +316,23 @@ void JobScheduler::run_job(Job& job) {
       popt.budget = budget_;
       popt.seed_restart = spec.seed_restart;
       popt.on_result = spec.on_restart_result;
-      result = std::make_shared<const SolverResult>(
-          PortfolioRunner(spec.solver, popt).run(*spec.graph, request));
+      outcome.result = share_result(
+          PortfolioRunner(spec.solver, popt).run(*spec.graph, request),
+          spec.graph);
     } else {
-      result = std::make_shared<const SolverResult>(
-          spec.solver->run(*spec.graph, request));
+      outcome.result =
+          share_result(spec.solver->run(*spec.graph, request), spec.graph);
     }
+    outcome.state = job.cancel_flag_.load(std::memory_order_relaxed)
+                        ? JobState::Cancelled
+                        : JobState::Done;
   } catch (const std::exception& e) {
-    error = e.what();
+    outcome.state = JobState::Failed;
+    outcome.error = e.what();
+    outcome.error_code = ErrCode::JobFailed;
   }
-
-  std::lock_guard lock(mu_);
-  job.seconds = job.timer.elapsed_seconds();
-  if (!error.empty()) {
-    job.state = JobState::Failed;
-    job.error = std::move(error);
-    job.error_code = ErrCode::JobFailed;
-  } else {
-    job.result = std::move(result);
-    job.state = job.cancel_flag.load(std::memory_order_relaxed)
-                    ? JobState::Cancelled
-                    : JobState::Done;
-  }
-  ++completed_;
+  outcome.seconds = job.run_timer_.elapsed_seconds();
+  return outcome;
 }
 
 }  // namespace ffp

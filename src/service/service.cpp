@@ -81,16 +81,12 @@ ServiceSession::~ServiceSession() {
   // nobody will read, then wait — bounded by the policy deadline — so a
   // job that ignores its cancel flag cannot hold the transport thread
   // hostage forever.
-  std::vector<api::SolveHandle> handles;
-  {
-    std::lock_guard lock(mu_);
-    for (auto& [id, handle] : handles_) handles.push_back(handle);
-  }
-  for (const auto& handle : handles) handle.cancel();
+  const std::vector<api::SolveHandle> jobs = handles();
+  for (const auto& handle : jobs) handle.cancel();
 
   std::size_t abandoned = 0;
   const WallTimer timer;
-  for (const auto& handle : handles) {
+  for (const auto& handle : jobs) {
     if (policy_.teardown_wait_ms < 0) continue;  // no-wait transports
     if (policy_.teardown_wait_ms == 0) {
       handle.wait();
@@ -123,13 +119,21 @@ void ServiceSession::emit_to(const std::shared_ptr<EmitState>& state,
   state->sink(line);
 }
 
-api::SolveHandle ServiceSession::lookup(const std::string& id) {
+ServiceSession::SessionJob ServiceSession::lookup(const std::string& id) {
   std::lock_guard lock(mu_);
-  const auto it = handles_.find(id);
-  if (it == handles_.end()) {
+  const auto it = jobs_.find(id);
+  if (it == jobs_.end()) {
     throw ServiceError(ErrCode::UnknownJob, "unknown job id '" + id + "'");
   }
   return it->second;
+}
+
+std::vector<api::SolveHandle> ServiceSession::handles() {
+  std::lock_guard lock(mu_);
+  std::vector<api::SolveHandle> out;
+  out.reserve(jobs_.size());
+  for (const auto& [id, job] : jobs_) out.push_back(job.handle);
+  return out;
 }
 
 bool ServiceSession::handle_line(std::string_view line) {
@@ -142,7 +146,7 @@ bool ServiceSession::handle_line(std::string_view line) {
       case RequestOp::Submit: {
         {
           std::lock_guard lock(mu_);
-          if (handles_.count(request.id) > 0) {
+          if (jobs_.count(request.id) > 0) {
             throw Error("duplicate job id '" + request.id + "'");
           }
         }
@@ -164,10 +168,10 @@ bool ServiceSession::handle_line(std::string_view line) {
         }
         api::TerminalFn done;
         if (policy_.async_results) {
-          // Fires once per job, from whichever thread finalizes it. Emits
-          // only if a result op has registered interest (the claim set) —
-          // otherwise the terminal status stays queryable and a later
-          // result op delivers it synchronously via poll().
+          // Fires once per job, after it reads terminal. Emits only if a
+          // result op has registered interest (the claim set) — otherwise
+          // the terminal status stays queryable and a later result op
+          // delivers it synchronously via poll().
           done = [waits = waits_, state = emit_,
                   client = request.id](const JobStatus& status) {
             {
@@ -191,19 +195,17 @@ bool ServiceSession::handle_line(std::string_view line) {
             problem, request.spec, std::move(stream), std::move(done));
         {
           std::lock_guard lock(mu_);
-          handles_.emplace(request.id, std::move(handle));
-          if (host_.options().evolve_capacity > 0) {
-            populations_.emplace(
-                request.id, evolve::PopulationKey{problem.digest(),
-                                                  request.spec.k,
-                                                  request.spec.objective});
-          }
+          jobs_.emplace(request.id,
+                        SessionJob{std::move(handle),
+                                   {problem.digest(), request.spec.k,
+                                    request.spec.objective}});
         }
         emit(format_ack(request.id));
         return true;
       }
       case RequestOp::Status: {
-        const JobStatus status = lookup(id).poll();
+        const SessionJob job = lookup(id);
+        const JobStatus status = job.handle.poll();
         const bool cache_on = host_.options().cache_capacity > 0;
         const api::CacheCounters counters =
             cache_on ? host_.engine().cache_counters() : api::CacheCounters{};
@@ -211,16 +213,11 @@ bool ServiceSession::handle_line(std::string_view line) {
         const evolve::ArchiveCounters archive =
             archive_on ? host_.engine().archive_counters()
                        : evolve::ArchiveCounters{};
-        std::optional<double> best;
-        if (archive_on) {
-          std::lock_guard lock(mu_);
-          const auto it = populations_.find(id);
-          if (it != populations_.end()) {
-            best = host_.engine().archive_best(it->second.digest,
-                                               it->second.k,
-                                               it->second.objective);
-          }
-        }
+        const std::optional<double> best =
+            archive_on ? host_.engine().archive_best(job.population.digest,
+                                                     job.population.k,
+                                                     job.population.objective)
+                       : std::nullopt;
         const ServeCounters serve = host_.serve_stats().snapshot();
         emit(format_status(id, status, cache_on ? &counters : nullptr,
                            archive_on ? &archive : nullptr,
@@ -228,13 +225,13 @@ bool ServiceSession::handle_line(std::string_view line) {
         return true;
       }
       case RequestOp::Cancel:
-        if (!lookup(id).cancel()) {
+        if (!lookup(id).handle.cancel()) {
           throw Error("job '" + id + "' is already terminal");
         }
         emit(format_ack(id));
         return true;
       case RequestOp::Result: {
-        const api::SolveHandle handle = lookup(id);
+        const api::SolveHandle handle = lookup(id).handle;
         if (!policy_.async_results) {
           emit(format_terminal(id, handle.wait()));
           return true;
@@ -249,9 +246,7 @@ bool ServiceSession::handle_line(std::string_view line) {
           waits_->wanted.insert(id);
         }
         const JobStatus status = handle.poll();
-        if (status.state == JobState::Done ||
-            status.state == JobState::Failed ||
-            status.state == JobState::Cancelled) {
+        if (is_terminal(status.state)) {
           bool claimed = false;
           {
             std::lock_guard lock(waits_->mu);
@@ -303,12 +298,7 @@ bool ServiceSession::handle_line(std::string_view line) {
 }
 
 void ServiceSession::drain() {
-  std::vector<api::SolveHandle> handles;
-  {
-    std::lock_guard lock(mu_);
-    for (auto& [id, handle] : handles_) handles.push_back(handle);
-  }
-  for (const auto& handle : handles) handle.wait();
+  for (const auto& handle : handles()) handle.wait();
 }
 
 bool ServiceSession::owes_reply() {
@@ -323,17 +313,8 @@ std::size_t ServiceSession::pending_work() {
     std::lock_guard lock(waits_->mu);
     open += waits_->wanted.size();
   }
-  std::vector<api::SolveHandle> handles;
-  {
-    std::lock_guard lock(mu_);
-    for (auto& [id, handle] : handles_) handles.push_back(handle);
-  }
-  for (const auto& handle : handles) {
-    const JobState state = handle.poll().state;
-    if (state != JobState::Done && state != JobState::Failed &&
-        state != JobState::Cancelled) {
-      ++open;
-    }
+  for (const auto& handle : handles()) {
+    if (!is_terminal(handle.poll().state)) ++open;
   }
   return open;
 }

@@ -7,7 +7,7 @@
 // concurrent connections share runners, budget, and cache — the
 // KaFFPaE-style single-submission-point the distributed levers need.
 //
-// The session owns only its client-id → SolveHandle map and its emit lock:
+// The session owns only its client-id → job map and its emit lock:
 // responses to commands are emitted synchronously from handle_line();
 // `progress` events are emitted from engine runner threads as improvements
 // happen (when streaming is on), serialized with everything else through
@@ -42,6 +42,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "api/api.hpp"
 #include "service/net.hpp"
@@ -210,8 +211,18 @@ class ServiceSession final : public LineHandler {
   static void emit_to(const std::shared_ptr<EmitState>& state,
                       const std::string& line);
 
+  /// One client id's job: its handle plus its elite-archive population,
+  /// recorded at submit so a later status can report archive_best for
+  /// exactly this job's (digest, k, objective) without re-loading the
+  /// graph.
+  struct SessionJob {
+    api::SolveHandle handle;
+    evolve::PopulationKey population;
+  };
+
   void emit(const std::string& line) { emit_to(emit_, line); }
-  api::SolveHandle lookup(const std::string& id);
+  SessionJob lookup(const std::string& id);
+  std::vector<api::SolveHandle> handles();
 
   /// Async-result bookkeeping, shared with every terminal callback this
   /// session registered: `wanted` holds the client ids whose result op is
@@ -228,12 +239,8 @@ class ServiceSession final : public LineHandler {
   std::shared_ptr<EmitState> emit_;
   std::shared_ptr<AsyncWaits> waits_;
 
-  std::mutex mu_;  ///< handle + population maps
-  std::map<std::string, api::SolveHandle> handles_;  ///< client id → handle
-  /// client id → the job's elite-archive population, recorded at submit so
-  /// a later status can report archive_best for exactly this job's
-  /// (digest, k, objective) without re-loading the graph.
-  std::map<std::string, evolve::PopulationKey> populations_;
+  std::mutex mu_;  ///< jobs_
+  std::map<std::string, SessionJob> jobs_;  ///< client id → job
 };
 
 }  // namespace ffp

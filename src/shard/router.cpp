@@ -9,25 +9,19 @@
 
 #include "api/problem.hpp"
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 #include "util/strings.hpp"
 
 namespace ffp::shard {
 
-namespace {
-
-/// Routing identity for graph_file submissions: hash the path string.
-/// The router never opens graph files — same path routes to the same
-/// shard, and the content digest is computed (and cached) there.
-std::uint64_t path_digest(const std::string& path) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : path) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+std::uint64_t route_digest(const Request& request) {
+  // A graph_file submit hashes the path string: the router never opens
+  // graph files, and the content digest is computed (and cached) on the
+  // shard the path always routes to.
+  return request.inline_graph != nullptr
+             ? api::graph_digest(*request.inline_graph)
+             : fnv1a(request.graph_file, kFnvBasisShort);
 }
-
-}  // namespace
 
 /// One client connection's routing state: its shard links and where each
 /// job id went, plus the one op in flight. Lives on the loop thread.
@@ -135,11 +129,8 @@ bool Router::Relay::handle_line(std::string_view raw) {
     id = request.id;
     switch (request.op) {
       case RequestOp::Submit: {
-        const std::uint64_t digest =
-            request.inline_graph != nullptr
-                ? api::graph_digest(*request.inline_graph)
-                : path_digest(request.graph_file);
-        op_.emplace(raw, id, true, router_.ring_.preference(digest));
+        op_.emplace(raw, id, true,
+                    router_.ring_.preference(route_digest(request)));
         forward();
         return true;
       }

@@ -40,6 +40,7 @@
 // is rejected: migration is shard-to-shard gossip, not client traffic.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "net/event_loop.hpp"
@@ -66,6 +67,9 @@ struct RouterOptions {
   bool allow_shutdown = false;  ///< honor client {"op":"shutdown"} (router-local)
   ProtocolLimits limits;
 };
+
+/// A submit's ring identity (see "Routing identity" above).
+std::uint64_t route_digest(const Request& request);
 
 class Router {
  public:

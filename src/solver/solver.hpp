@@ -71,6 +71,13 @@ struct SolverResult {
   double stat(std::string_view name, double fallback = 0.0) const;
 };
 
+/// `result` as a shared immutable value that co-owns `graph`, the graph
+/// its Partition points into, so it stays usable after the job and the
+/// Problem that made it are gone. Every shared result the job scheduler
+/// or the result cache hands out is built here.
+std::shared_ptr<const SolverResult> share_result(
+    SolverResult result, std::shared_ptr<const Graph> graph);
+
 /// How far a solver takes part in evolve portfolios (src/evolve/): which
 /// restart seeds it honors with the never-worse-than-the-seed contract
 /// the evolve plan relies on.

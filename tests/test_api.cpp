@@ -10,10 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -288,6 +291,82 @@ TEST(SolveHandle, FailuresSurfaceThroughSolve) {
   spec.method = "fusion_fission:bogus_key=1";
   EXPECT_THROW(engine.submit(api::Problem::generated("path:10"), spec), Error);
   EXPECT_THROW(engine.solve(api::Problem(), api::SolveSpec{}), Error);
+}
+
+// ----------------------------------------------------------- job record ----
+
+// With the cache and the archive off, nothing keeps a finished job: once
+// its handle and its Problem are gone, so is the graph.
+TEST(JobRecord, AFinishedJobIsForgotten) {
+  api::EngineOptions options;
+  options.evolve_capacity = 0;  // and no cache: cache_capacity is 0
+  api::Engine engine(options);
+  std::weak_ptr<const Graph> graph;
+  {
+    const api::Problem problem = api::Problem::from_graph(make_grid2d(9, 9));
+    graph = problem.share();
+    api::SolveSpec spec;
+    spec.k = 4;
+    spec.steps = 600;
+    const api::SolveHandle handle = engine.submit(problem, spec);
+    EXPECT_EQ(handle.wait().state, JobState::Done);
+  }
+  engine.drain();  // the runner is past the job's terminal path
+  EXPECT_TRUE(graph.expired());
+}
+
+// A cached result co-owns its graph: it stays usable after its job and
+// its Problem are gone, and a hit through an equal graph serves it.
+TEST(JobRecord, ACachedResultOutlivesItsJobAndProblem) {
+  api::EngineOptions options;
+  options.cache_capacity = 4;
+  api::Engine engine(options);
+  api::SolveSpec spec;
+  spec.k = 4;
+  spec.steps = 600;
+  {
+    const api::Problem problem = api::Problem::from_graph(make_grid2d(9, 9));
+    EXPECT_EQ(engine.submit(problem, spec).wait().state, JobState::Done);
+  }
+  engine.drain();
+  const api::SolveHandle hit =
+      engine.submit(api::Problem::from_graph(make_grid2d(9, 9)), spec);
+  ASSERT_TRUE(hit.cached());
+  const JobStatus status = hit.wait();
+  ASSERT_NE(status.result, nullptr);
+  EXPECT_EQ(status.result->best.graph().num_vertices(), 81);
+  status.result->best.validate();
+}
+
+// engine.hpp's promise: a handle outliving its Engine can still be waited
+// on and cancelled. The engine's destructor cancels the queued solve and
+// lets the running one finish.
+TEST(JobRecord, AHandleOutlivesItsEngine) {
+  api::SolveHandle running;
+  api::SolveHandle queued;
+  {
+    api::Engine engine;  // one runner
+    api::SolveSpec slow;
+    slow.k = 3;
+    slow.budget_ms = 200;  // wall clock: the destructor waits it out
+    running = engine.submit(api::Problem::generated("grid2d:8,8"), slow);
+    while (running.poll().state == JobState::Queued) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    api::SolveSpec spec;
+    spec.k = 3;
+    spec.steps = 500;
+    queued = engine.submit(api::Problem::generated("grid2d:8,8"), spec);
+  }
+  const JobStatus done = running.wait();
+  EXPECT_EQ(done.state, JobState::Done);
+  ASSERT_NE(done.result, nullptr);
+  EXPECT_EQ(done.result->best.graph().num_vertices(), 64);
+  EXPECT_FALSE(running.cancel());
+  EXPECT_EQ(queued.wait().state, JobState::Cancelled);
+  EXPECT_TRUE(queued.wait_for(0).has_value());
+  EXPECT_EQ(queued.poll().state, JobState::Cancelled);
+  EXPECT_FALSE(queued.cancel());
 }
 
 // ---------------------------------------------------------------- cache ----

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "graph/io.hpp"
+#include "persist/atomic_file.hpp"
 #include "service/client.hpp"
 #include "service/json.hpp"
 #include "service/net.hpp"
@@ -138,7 +139,8 @@ int main(int argc, char** argv) {
       .flag("retry-seed", "1", "jitter seed (deterministic backoff schedule)")
       .flag("timeout-ms", "0", "per-read/write deadline awaiting responses "
                                "(0 = block forever)")
-      .flag("out-dir", "", "write each partition to <out-dir>/<id>.part")
+      .flag("out-dir", "", "write each partition to <out-dir>/<id>.part "
+                           "(created if missing)")
       .toggle("shutdown", "send shutdown after the last result")
       .toggle("help", "show this help");
   try {
@@ -160,12 +162,15 @@ int main(int argc, char** argv) {
 
     FFP_CHECK(!args.get("graph").empty(),
               "need --graph (or --script) to submit jobs");
+    // Bounded before anything is built: each job is a submit line held in
+    // memory, and the retry count is narrowed to int.
     const std::int64_t jobs = args.get_int("jobs");
-    FFP_CHECK(jobs >= 1, "--jobs must be >= 1");
+    FFP_CHECK(jobs >= 1 && jobs <= 1 << 20, "--jobs must be in [1, 2^20]");
     FFP_CHECK(args.get_int("restarts") >= 1, "--restarts must be >= 1");
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
     const std::int64_t retries = args.get_int("retries");
-    FFP_CHECK(retries >= 1, "--retries must be >= 1");
+    FFP_CHECK(retries >= 1 && retries <= 1 << 20,
+              "--retries must be in [1, 2^20]");
     const std::int64_t backoff_ms = args.get_int("backoff-ms");
     FFP_CHECK(backoff_ms >= 1, "--backoff-ms must be >= 1");
     const std::int64_t timeout_ms = args.get_int("timeout-ms");
@@ -188,6 +193,17 @@ int main(int argc, char** argv) {
                    attempt, why.c_str(), wait_ms);
     };
 
+    // Before the first connection: a finished batch must have somewhere
+    // to land.
+    const std::string out_dir = args.get("out-dir");
+    if (!out_dir.empty()) {
+      try {
+        ffp::persist::ensure_dir(out_dir);
+      } catch (const ffp::Error& e) {
+        throw ffp::Error("--out-dir: " + std::string(e.what()));
+      }
+    }
+
     std::vector<ffp::ClientJob> batch;
     batch.reserve(static_cast<std::size_t>(jobs));
     for (std::int64_t i = 0; i < jobs; ++i) {
@@ -200,7 +216,6 @@ int main(int argc, char** argv) {
     const std::vector<ffp::ClientResult> results = client.run(batch);
 
     std::size_t failed = 0;
-    const std::string out_dir = args.get("out-dir");
     for (const ffp::ClientResult& r : results) {
       if (!r.ok) {
         ++failed;
