@@ -67,7 +67,6 @@ struct Engine::State {
     sched.runners = options.runners;
     sched.budget = options.budget;
     sched.max_queued = options.max_queued;
-    sched.overload_retry_after_ms = options.overload_retry_after_ms;
     if (!state_dir.empty()) {
       persist::ensure_dir(state_dir);
       persist::ensure_dir(state_dir + "/cache");
@@ -96,18 +95,15 @@ struct Engine::State {
         result == nullptr) {
       return;
     }
-    std::string body = "key " + key + "\n";
-    body += "graph " + source + "\n";
-    body += format("value %.17g\n", result->best_value);
-    body += format("seconds %.17g\n", result->seconds);
-    for (const int p : result->best.assignment()) {
-      body += std::to_string(p);
-      body += '\n';
-    }
     try {
-      persist::write_records_atomic(state_dir + "/cache/" +
-                                        cache_entry_name(key),
-                                    kCacheEntryVersion, {body});
+      persist::write_records_atomic(
+          state_dir + "/cache/" + cache_entry_name(key), kCacheEntryVersion,
+          {encode_partition_record(
+              {{"key", key},
+               {"graph", source},
+               {"value", real_text(result->best_value)},
+               {"seconds", real_text(result->seconds)}},
+              result->best.assignment())});
     } catch (const std::exception& e) {
       std::fprintf(stderr, "ffp: cache persist failed (non-fatal): %s\n",
                    e.what());
@@ -134,32 +130,20 @@ struct Engine::State {
     const auto read = persist::read_records(path, kCacheEntryVersion);
     FFP_CHECK(read.records.size() == 1 && !read.truncated,
               "damaged cache entry");
-    std::istringstream in(read.records[0]);
-    std::string line;
-    auto field = [&](const char* prefix) {
-      FFP_CHECK(std::getline(in, line) && line.rfind(prefix, 0) == 0,
-                "cache entry missing '", prefix, "'");
-      return line.substr(std::string_view(prefix).size());
-    };
-    const std::string key = field("key ");
-    const std::string source = field("graph ");
-    const double value = std::stod(field("value "));
-    const double seconds = std::stod(field("seconds "));
-    std::vector<int> parts;
-    while (std::getline(in, line)) {
-      if (!line.empty()) parts.push_back(std::stoi(line));
-    }
-    const Problem problem = Problem::from_any(source);
-    FFP_CHECK(parts.size() == static_cast<std::size_t>(
-                                  problem.graph().num_vertices()),
+    const PartitionRecord entry = decode_partition_record(
+        read.records[0], {"key", "graph", "value", "seconds"});
+    const std::string& key = entry.text("key");
+    const Problem problem = Problem::from_any(entry.text("graph"));
+    FFP_CHECK(entry.parts.size() == static_cast<std::size_t>(
+                                        problem.graph().num_vertices()),
               "cache entry size mismatch");
     // The key embeds the graph digest; a source file that changed since
     // the entry was written no longer matches and the entry is stale.
     const std::string expect =
         format("g%016llx|", static_cast<unsigned long long>(problem.digest()));
     FFP_CHECK(key.rfind(expect, 0) == 0, "cache entry digest mismatch");
-    SolverResult res{Partition::from_assignment(problem.graph(), parts),
-                     value, seconds, {}};
+    SolverResult res{Partition::from_assignment(problem.graph(), entry.parts),
+                     entry.real("value"), entry.real("seconds"), {}};
     cache.put(key, share_result(std::move(res), problem.share()));
   }
 
@@ -432,8 +416,6 @@ void Engine::recover() {
 
 std::size_t Engine::recovered_jobs() const { return impl_->recovered_count; }
 
-ffp::persist::Journal* Engine::journal() { return impl_->journal.get(); }
-
 SolverResult Engine::solve(const Problem& problem, const SolveSpec& spec,
                            ImprovementFn on_improvement) {
   const SolveHandle handle =
@@ -475,8 +457,6 @@ Engine::archive_exports() const {
 }
 
 JobScheduler& Engine::scheduler() { return *impl_->scheduler; }
-
-ThreadBudget& Engine::budget() { return impl_->scheduler->budget(); }
 
 Engine& Engine::shared() {
   static Engine engine{EngineOptions{}};

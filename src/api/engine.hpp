@@ -32,10 +32,6 @@
 #include "evolve/elite_archive.hpp"
 #include "service/job_scheduler.hpp"
 
-namespace ffp::persist {
-class Journal;  // persist/journal.hpp
-}
-
 namespace ffp::api {
 
 struct EngineOptions {
@@ -48,8 +44,6 @@ struct EngineOptions {
   /// ServiceError(Overloaded) with a retry-after hint (load shedding).
   /// 0 = unbounded. Cache hits never count — they are answered inline.
   std::size_t max_queued = 0;
-  /// Retry-after hint attached to Overloaded rejections, ms.
-  double overload_retry_after_ms = 250;
   /// Durable-state directory (empty = fully in-memory, the historical
   /// behavior, bit-identical and zero-overhead). When set the engine
   /// becomes crash-safe: deterministic solves leave a write-ahead record
@@ -165,13 +159,10 @@ class Engine {
   std::vector<std::pair<evolve::PopulationKey, evolve::Elite>>
   archive_exports() const;
   JobScheduler& scheduler();
-  ThreadBudget& budget();
 
   /// Jobs the constructor resubmitted from a recovered journal (0 without
   /// a state dir, or after a clean shutdown).
   std::size_t recovered_jobs() const;
-  /// The write-ahead journal; null without a state dir.
-  ffp::persist::Journal* journal();
 
   /// The process-wide engine CLI-style entry points share: one runner over
   /// ThreadBudget::process(), cache disabled. Created on first use.

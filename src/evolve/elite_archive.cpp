@@ -1,8 +1,10 @@
 #include "evolve/elite_archive.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <climits>
+#include <cstdint>
 
+#include "graph/io.hpp"
 #include "persist/atomic_file.hpp"
 #include "persist/checkpoint.hpp"
 #include "util/check.hpp"
@@ -179,24 +181,22 @@ ArchiveCounters EliteArchive::counters() const {
 
 /// Record 0 is the population header (the file name hash is one-way, so
 /// the key must be recoverable from the content); records 1..N are one
-/// elite each: value, stamp, then the assignment, one part per line.
+/// elite each: value, stamp, then the assignment.
 void EliteArchive::persist_population(const PopulationKey& key,
                                       const std::vector<Elite>& population) {
   if (options_.dir.empty()) return;
   std::vector<std::string> records;
   records.reserve(population.size() + 1);
-  records.push_back(
-      format("digest %016llx\n", static_cast<unsigned long long>(key.digest)) +
-      "k " + std::to_string(key.k) + "\nobjective " +
-      std::string(objective_token(key.objective)) + "\n");
+  records.push_back(encode_partition_record(
+      {{"digest",
+        format("%016llx", static_cast<unsigned long long>(key.digest))},
+       {"k", std::to_string(key.k)},
+       {"objective", std::string(objective_token(key.objective))}}));
   for (const Elite& e : population) {
-    std::string body = format("value %.17g\n", e.value);
-    body += "stamp " + std::to_string(e.stamp) + "\n";
-    for (const int p : *e.assignment) {
-      body += std::to_string(p);
-      body += '\n';
-    }
-    records.push_back(std::move(body));
+    records.push_back(encode_partition_record(
+        {{"value", real_text(e.value)},
+         {"stamp", std::to_string(e.stamp)}},
+        *e.assignment));
   }
   // Best-effort, like checkpoints: a full disk must not fail the solve
   // whose result is being archived.
@@ -224,39 +224,26 @@ void EliteArchive::load_population_file(const std::string& path) {
   FFP_CHECK(!read.records.empty() && !read.truncated,
             "damaged population file");
 
-  std::istringstream head(read.records.front());
-  std::string line;
-  auto field = [&](std::istringstream& in, const char* prefix) {
-    FFP_CHECK(std::getline(in, line) && line.rfind(prefix, 0) == 0,
-              "population file missing '", prefix, "'");
-    return line.substr(std::string_view(prefix).size());
-  };
+  const PartitionRecord head = decode_partition_record(
+      read.records.front(), {"digest", "k", "objective"});
   PopulationKey key;
-  key.digest = std::stoull(field(head, "digest "), nullptr, 16);
-  key.k = std::stoi(field(head, "k "));
-  const auto objective = objective_from_name(field(head, "objective "));
+  key.digest = head.hex("digest");
+  key.k = static_cast<int>(head.integer("k", 1, INT_MAX));
+  const auto objective = objective_from_name(head.text("objective"));
   FFP_CHECK(objective.has_value(), "unknown objective in population file");
   key.objective = *objective;
-  FFP_CHECK(key.k >= 1, "bad k in population file");
 
   std::vector<Elite> population;
   for (std::size_t i = 1;
        i < read.records.size() && population.size() < options_.capacity;
        ++i) {
-    std::istringstream in(read.records[i]);
-    Elite e;
-    e.value = std::stod(field(in, "value "));
-    e.stamp = std::stoull(field(in, "stamp "));
-    auto parts = std::make_shared<std::vector<int>>();
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      const int p = std::stoi(line);
-      FFP_CHECK(p >= 0, "negative part id in population file");
-      parts->push_back(p);
-    }
-    FFP_CHECK(!parts->empty(), "empty elite in population file");
-    e.assignment = std::move(parts);
-    population.push_back(std::move(e));
+    PartitionRecord record =
+        decode_partition_record(read.records[i], {"value", "stamp"});
+    FFP_CHECK(!record.parts.empty(), "empty elite in population file");
+    population.push_back(Elite{
+        std::make_shared<const std::vector<int>>(std::move(record.parts)),
+        record.real("value"),
+        static_cast<std::uint64_t>(record.integer("stamp", 0, INT64_MAX))});
   }
   FFP_CHECK(!population.empty(), "population file holds no elites");
   for (const Elite& e : population) {

@@ -27,8 +27,9 @@
 // is a pure function of the spec seed.
 //
 // Persistence (optional): with a directory set, each population is
-// rewritten as one CRC-framed record file (persist::write_records_atomic)
-// after every mutation and reloaded on construction — elites survive
+// rewritten as one CRC-framed record file (persist::write_records_atomic,
+// graph/io.hpp durable partition records) after every mutation and
+// reloaded on construction — elites survive
 // restarts exactly like PR 8's checkpoints. Damage is crash-only: an
 // unreadable population file is deleted and forgotten, never trusted.
 #pragma once

@@ -1,6 +1,7 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iomanip>
@@ -46,6 +47,11 @@ std::ifstream open_in(const std::string& path) {
 /// lying header must not be able to allocate gigabytes before the parser
 /// discovers the file is ten lines long.
 constexpr std::int64_t kTrustedReserve = 1 << 22;
+
+[[noreturn]] void bad_field(std::string_view name) {
+  throw Error("record field '" + std::string(name) +
+              "' is missing or malformed");
+}
 
 }  // namespace
 
@@ -327,16 +333,78 @@ std::vector<int> read_partition_file(const std::string& path) {
 }
 
 void write_partition(std::span<const int> parts, std::ostream& out) {
-  for (int p : parts) out << p << '\n';
+  out << encode_partition_record({}, parts);
 }
 
 void write_partition_file(std::span<const int> parts,
                           const std::string& path) {
   // Atomic replace, same contract as write_chaco_file: downstream tooling
   // reading a .part mid-rewrite sees the old partition or the new one.
-  std::ostringstream out;
-  write_partition(parts, out);
-  persist::atomic_write_file(path, out.str());
+  persist::atomic_write_file(path, encode_partition_record({}, parts));
+}
+
+std::string real_text(double v) { return format("%.17g", v); }
+
+std::string encode_partition_record(std::initializer_list<RecordField> fields,
+                                    std::span<const int> parts) {
+  std::string body;
+  body.reserve(64 + 4 * parts.size());
+  for (const auto& [name, value] : fields) {
+    body.append(name).append(" ").append(value).append("\n");
+  }
+  char digits[16];
+  for (const int p : parts) {
+    body.append(digits, std::to_chars(digits, digits + sizeof(digits), p).ptr);
+    body += '\n';
+  }
+  return body;
+}
+
+const std::string& PartitionRecord::text(std::string_view name) const {
+  for (const auto& [n, v] : fields) {
+    if (n == name) return v;
+  }
+  bad_field(name);
+}
+
+std::int64_t PartitionRecord::integer(std::string_view name, std::int64_t lo,
+                                      std::int64_t hi) const {
+  const auto v = parse_int(text(name));
+  if (!v.has_value() || *v < lo || *v > hi) bad_field(name);
+  return *v;
+}
+
+double PartitionRecord::real(std::string_view name) const {
+  const auto v = parse_double(text(name));
+  if (!v.has_value()) bad_field(name);
+  return *v;
+}
+
+std::uint64_t PartitionRecord::hex(std::string_view name) const {
+  const std::string& s = text(name);
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v, 16);
+  if (ec != std::errc() || end != s.data() + s.size()) bad_field(name);
+  return v;
+}
+
+PartitionRecord decode_partition_record(
+    std::string_view body, std::initializer_list<std::string_view> names) {
+  PartitionRecord out;
+  std::size_t pos = 0;
+  for (const std::string_view name : names) {
+    const std::size_t end = std::min(body.find('\n', pos), body.size());
+    const std::string_view line = body.substr(pos, end - pos);
+    if (line.size() <= name.size() || !starts_with(line, name) ||
+        line[name.size()] != ' ') {
+      bad_field(name);
+    }
+    out.fields.emplace_back(name, line.substr(name.size() + 1));
+    pos = std::min(end + 1, body.size());
+  }
+  std::istringstream tail{std::string(body.substr(pos))};
+  out.parts = read_partition(tail);
+  return out;
 }
 
 }  // namespace ffp

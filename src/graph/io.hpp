@@ -9,6 +9,8 @@
 //    This is the format of the Walshaw benchmark archive.
 //  - Plain edge list: "u v [w]" per line, 0-indexed.
 //  - Partition files: one part id per line, as written by Chaco/METIS.
+//  - Durable partition records: `<name> <value>` header lines, then a
+//    partition file body (see encode_partition_record below).
 //
 // All readers throw ffp::Error with a line number on malformed input —
 // they are hardened for UNTRUSTED files (the ffp_serve daemon parses
@@ -20,8 +22,12 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -55,5 +61,40 @@ std::vector<int> read_partition(std::istream& in);
 std::vector<int> read_partition_file(const std::string& path);
 void write_partition(std::span<const int> parts, std::ostream& out);
 void write_partition_file(std::span<const int> parts, const std::string& path);
+
+// Durable partition records. Checkpoints (persist/checkpoint), durable
+// cache entries (api/engine) and elite populations (evolve/elite_archive)
+// all store one `<name> <value>` line per field, in the owner's order,
+// then a partition file body. Owners keep their field names, their checks
+// on what they decode and what damage means to them. Doubles go through
+// real_text ("%.17g"), which round-trips bit for bit.
+
+/// One header line's name and value; the value may hold spaces, no newline.
+using RecordField = std::pair<std::string_view, std::string>;
+
+std::string real_text(double v);
+
+/// The header lines, then the partition body (none: a header-only record).
+std::string encode_partition_record(std::initializer_list<RecordField> fields,
+                                    std::span<const int> parts = {});
+
+/// A decoded record. Each getter throws ffp::Error when the field is
+/// absent, does not parse, or lies outside [lo, hi].
+struct PartitionRecord {
+  std::vector<std::pair<std::string, std::string>> fields;  ///< in order
+  std::vector<int> parts;
+
+  const std::string& text(std::string_view name) const;
+  std::int64_t integer(std::string_view name, std::int64_t lo,
+                       std::int64_t hi) const;
+  double real(std::string_view name) const;
+  std::uint64_t hex(std::string_view name) const;  ///< population digests
+};
+
+/// Reads one header line per name, in order, then the rest as
+/// read_partition does. Throws ffp::Error, and only ffp::Error, on any
+/// damage.
+PartitionRecord decode_partition_record(
+    std::string_view body, std::initializer_list<std::string_view> names);
 
 }  // namespace ffp

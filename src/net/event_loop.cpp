@@ -407,7 +407,7 @@ void EventLoopServer::accept_new() {
                        "server at capacity (" +
                            std::to_string(options_.max_clients) +
                            " clients); retry after backoff",
-                       ErrCode::Overloaded, options_.overload_retry_after_ms) +
+                       ErrCode::Overloaded, kOverloadRetryAfterMs) +
           "\n";
       (void)::send(raw, line.data(), line.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
       continue;

@@ -59,8 +59,6 @@ struct EventLoopOptions {
   /// How long a connection may sit with unflushed bytes before it is
   /// dropped as a dead reader. <= 0 waits forever.
   double write_timeout_ms = 10000;
-  /// The retry-after hint shed connections are sent.
-  double overload_retry_after_ms = 250;
 };
 
 class EventLoopServer {

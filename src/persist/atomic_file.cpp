@@ -122,12 +122,13 @@ void ensure_dir(const std::string& path) {
         pos == std::string::npos ? path : path.substr(0, pos);
     if (prefix.empty()) continue;
     if (::mkdir(prefix.c_str(), 0777) == 0 || errno == EEXIST) continue;
-    FFP_CHECK(false, "persist: mkdir('", prefix,
-              "') failed: ", std::strerror(errno));
+    throw Error("persist: mkdir('" + prefix +
+                "') failed: " + std::strerror(errno));
   }
   struct stat st{};
-  FFP_CHECK(::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode),
-            "persist: '", path, "' is not a directory");
+  if (::stat(path.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) {
+    throw Error("persist: '" + path + "' is not a directory");
+  }
 }
 
 bool file_exists(const std::string& path) {

@@ -77,8 +77,6 @@ class RecordWriter {
   /// Frames, writes and fsyncs one record; durable on return.
   void append(std::string_view payload);
 
-  const std::string& path() const { return path_; }
-
  private:
   std::string path_;
   int fd_ = -1;

@@ -1,16 +1,18 @@
-// Durable anytime-best solve checkpoints.
+// Durable anytime-best solve checkpoints, and the keyed record file names
+// checkpoints and elite populations share.
 //
 // A checkpoint is the best-at-k partition a metaheuristic has seen so
 // far, written atomically (persist::atomic_write_file + CRC framing) so a
 // crash mid-write leaves either the previous checkpoint or the new one —
-// never a torn file. Loading is crash-only: anything damaged, truncated
-// or unparsable reads as "no checkpoint" and the solve simply starts
-// cold, because a checkpoint is an optimization, never an obligation.
+// never a torn file. Its body is one durable partition record
+// (graph/io.hpp): `k`, `value`, then the parts. Loading is crash-only:
+// anything damaged, truncated or unparsable reads as "no checkpoint" and
+// the solve simply starts cold, because a checkpoint is an optimization,
+// never an obligation.
 //
 // Files are keyed by graph digest + the spec's canonical checkpoint key
 // (api::SolveSpec::checkpoint_key), so a resumed run maps to exactly the
-// file its predecessor wrote. The same key scheme is the substrate the
-// ROADMAP's elite archive will store populations under.
+// file its predecessor wrote.
 #pragma once
 
 #include <cstdint>

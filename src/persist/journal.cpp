@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <unordered_set>
 
 #include "util/check.hpp"
 #include "util/fault.hpp"
@@ -15,15 +16,12 @@ namespace {
 
 // Record encodings (the record framing handles lengths, so payloads may
 // contain anything, newlines included):
-//   "S <id>\n<payload>"   "R <id>"   "T <id> <state>"
+//   "S <id>\n<payload>"   "T <id> <state>"
+// plus "R <id>", the started record older builds wrote, which replay skips.
 std::string encode_submitted(std::uint64_t job, std::string_view payload) {
   std::string r = "S " + std::to_string(job) + "\n";
   r.append(payload);
   return r;
-}
-
-std::string encode_started(std::uint64_t job) {
-  return "R " + std::to_string(job);
 }
 
 std::string encode_terminal(std::uint64_t job, std::string_view state) {
@@ -32,32 +30,26 @@ std::string encode_terminal(std::uint64_t job, std::string_view state) {
   return r;
 }
 
-std::optional<JournalEvent> decode(const std::string& record) {
+struct Event {
+  char kind = 0;  ///< 'S', 'T', or an older build's 'R'
+  std::uint64_t job = 0;
+  std::string payload;  ///< S: resubmit spec; T: state name
+};
+
+std::optional<Event> decode(const std::string& record) {
   if (record.size() < 3 || record[1] != ' ') return std::nullopt;
-  JournalEvent ev;
-  std::size_t id_end = std::string::npos;  // Started: id runs to the end
-  switch (record[0]) {
-    case 'S':
-      ev.kind = JournalEventKind::Submitted;
-      id_end = record.find('\n', 2);
-      break;
-    case 'R':
-      ev.kind = JournalEventKind::Started;
-      break;
-    case 'T':
-      ev.kind = JournalEventKind::Terminal;
-      id_end = record.find(' ', 2);
-      break;
-    default:
-      return std::nullopt;
-  }
+  const char kind = record[0];
+  if (kind != 'S' && kind != 'T' && kind != 'R') return std::nullopt;
+  // The id ends at S's newline, at T's space, or at the end of the record.
+  std::size_t id_end = kind == 'S'   ? record.find('\n', 2)
+                       : kind == 'T' ? record.find(' ', 2)
+                                     : std::string::npos;
   const bool delimited = id_end != std::string::npos;
   if (!delimited) id_end = record.size();
   const auto id = parse_int(std::string_view(record).substr(2, id_end - 2));
   if (!id.has_value() || *id < 0) return std::nullopt;
-  ev.job = static_cast<std::uint64_t>(*id);
-  if (delimited) ev.payload = record.substr(id_end + 1);
-  return ev;
+  return Event{kind, static_cast<std::uint64_t>(*id),
+               delimited ? record.substr(id_end + 1) : std::string()};
 }
 
 void fire_crash_point() {
@@ -85,22 +77,13 @@ Journal::Journal(std::string path) : path_(std::move(path)) {
 void Journal::submitted(std::uint64_t job, std::string_view payload) {
   std::lock_guard lock(mu_);
   writer_->append(encode_submitted(job, payload));
-  ++appends_;
   outstanding_.emplace(job, std::string(payload));
-  fire_crash_point();
-}
-
-void Journal::started(std::uint64_t job) {
-  std::lock_guard lock(mu_);
-  writer_->append(encode_started(job));
-  ++appends_;
   fire_crash_point();
 }
 
 void Journal::terminal(std::uint64_t job, std::string_view state) {
   std::lock_guard lock(mu_);
   writer_->append(encode_terminal(job, state));
-  ++appends_;
   fire_crash_point();
   outstanding_.erase(job);
   if (outstanding_.empty()) compact_locked();
@@ -125,11 +108,6 @@ void Journal::compact_locked() {
   ++compactions_;
 }
 
-std::int64_t Journal::appends() const {
-  std::lock_guard lock(mu_);
-  return appends_;
-}
-
 std::int64_t Journal::compactions() const {
   std::lock_guard lock(mu_);
   return compactions_;
@@ -144,8 +122,7 @@ JournalReplay Journal::replay(const std::string& path) {
   JournalReplay out;
   const RecordReadResult raw = read_records(path, kJournalVersion);
   out.truncated = raw.truncated;
-  // id -> index into out.unfinished (still-live submitted payloads).
-  std::unordered_map<std::uint64_t, std::size_t> live;
+  std::unordered_set<std::uint64_t> live;  // submitted, not yet terminal
   std::vector<std::pair<std::uint64_t, std::string>> submitted_order;
   for (const std::string& record : raw.records) {
     auto ev = decode(record);
@@ -153,22 +130,13 @@ JournalReplay Journal::replay(const std::string& path) {
       // A frame that passed CRC but doesn't parse is a writer bug, not
       // crash damage — but recovery must still limp past it.
       out.truncated = true;
-      continue;
+    } else if (ev->kind == 'S') {
+      if (live.insert(ev->job).second) {
+        submitted_order.emplace_back(ev->job, std::move(ev->payload));
+      }
+    } else if (ev->kind == 'T') {
+      live.erase(ev->job);  // duplicates and unknown ids are no-ops
     }
-    switch (ev->kind) {
-      case JournalEventKind::Submitted:
-        if (live.find(ev->job) == live.end()) {
-          live.emplace(ev->job, submitted_order.size());
-          submitted_order.emplace_back(ev->job, ev->payload);
-        }
-        break;
-      case JournalEventKind::Started:
-        break;
-      case JournalEventKind::Terminal:
-        live.erase(ev->job);  // duplicates and unknown ids are no-ops
-        break;
-    }
-    out.events.push_back(std::move(*ev));
   }
   for (const auto& [id, payload] : submitted_order) {
     if (live.find(id) != live.end()) out.unfinished.push_back(payload);

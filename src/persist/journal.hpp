@@ -1,14 +1,17 @@
 // Write-ahead job journal: the crash-recovery spine of `ffp_serve
 // --state-dir`.
 //
-// Every journaled job leaves three records over its life, each fsync'd
+// Every journaled job leaves two records over its life, each fsync'd
 // before the action it describes becomes visible:
 //
 //   S <id>\n<payload>   submitted — payload is everything needed to
 //                       resubmit the job (api::Engine builds and parses
 //                       it; the journal treats it as opaque bytes)
-//   R <id>              started running
 //   T <id> <state>      terminal (done/failed/cancelled/...)
+//
+// Journals written by older builds also hold `R <id>` (started) records;
+// replay reads past them, since whether a job had started never changed
+// what recovery resubmits.
 //
 // Replay after a crash is tolerant by construction: records ride the
 // persist::atomic_file CRC framing, so a tail torn by kill -9 mid-append
@@ -42,16 +45,7 @@ namespace ffp::persist {
 
 inline constexpr std::uint32_t kJournalVersion = 1;
 
-enum class JournalEventKind { Submitted, Started, Terminal };
-
-struct JournalEvent {
-  JournalEventKind kind = JournalEventKind::Submitted;
-  std::uint64_t job = 0;
-  std::string payload;  ///< Submitted: resubmit spec; Terminal: state name
-};
-
 struct JournalReplay {
-  std::vector<JournalEvent> events;
   bool truncated = false;
   /// Submitted payloads with no terminal record, in submission order.
   std::vector<std::string> unfinished;
@@ -72,16 +66,13 @@ class Journal {
   bool recovered_truncated() const { return recovered_truncated_; }
 
   void submitted(std::uint64_t job, std::string_view payload);
-  void started(std::uint64_t job);
   /// Appends the terminal record; when it leaves no outstanding job the
   /// file is compacted to an empty header. Duplicate terminals (replay
   /// races, defensive callers) are appended but otherwise harmless.
   void terminal(std::uint64_t job, std::string_view state);
 
-  std::int64_t appends() const;
   std::int64_t compactions() const;
   std::size_t outstanding() const;
-  const std::string& path() const { return path_; }
 
   /// Tolerant read of a journal file: a torn tail sets `truncated` and
   /// drops only the damaged frames; duplicate terminal records and
@@ -98,7 +89,6 @@ class Journal {
   std::unordered_map<std::uint64_t, std::string> outstanding_;
   std::vector<std::string> recovered_;
   bool recovered_truncated_ = false;
-  std::int64_t appends_ = 0;
   std::int64_t compactions_ = 0;
 
   void compact_locked();

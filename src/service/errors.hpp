@@ -42,6 +42,10 @@ enum class ErrCode {
 /// True for the codes a client should retry with backoff.
 bool err_retryable(ErrCode code);
 
+/// The retry-after hint (ms) of every Overloaded shed: a full job queue
+/// and a connection beyond the event loop's max_clients alike.
+inline constexpr double kOverloadRetryAfterMs = 250;
+
 /// Stable wire name ("overloaded", "conn_lost", ...).
 std::string_view err_name(ErrCode code);
 

@@ -144,7 +144,7 @@ std::shared_ptr<Job> JobScheduler::submit(JobSpec spec) {
           "submit rejected: " + std::to_string(queue_.size()) +
               " jobs already queued (max_queued = " +
               std::to_string(options_.max_queued) + ")",
-          options_.overload_retry_after_ms);
+          kOverloadRetryAfterMs);
     }
     const std::uint64_t id = next_id_++;
     if (options_.journal != nullptr && !spec.journal_payload.empty()) {
@@ -222,16 +222,6 @@ void JobScheduler::runner_loop() {
       job->outcome_.state = JobState::Running;
       job->run_timer_.reset();
     }
-    if (options_.journal != nullptr && !job->spec_.journal_payload.empty()) {
-      // Outside any lock (the append fsyncs); spec is immutable.
-      try {
-        options_.journal->started(job->id_);
-      } catch (const std::exception&) {
-        // A failed started record never fails the job — it only widens
-        // the recovery window back to "submitted".
-      }
-    }
-
     // The runner's own slot: the one blocking wait in the whole budget
     // protocol, safe exactly here because the runner holds nothing while
     // waiting (thread_budget.hpp).

@@ -128,7 +128,7 @@ struct JobSpec {
   /// burn a runner on a result nobody reads. 0 = no TTL.
   double queue_ttl_ms = 0;
   /// Write-ahead journaling: when non-empty AND the scheduler has a
-  /// journal, this job leaves submitted/started/terminal records, each
+  /// journal, this job leaves submitted and terminal records, each
   /// durable before the transition it describes becomes visible. The
   /// payload is opaque to the scheduler — api::Engine builds it with
   /// everything needed to resubmit the job after a crash.
@@ -157,10 +157,8 @@ struct JobSchedulerOptions {
   /// are waiting, submit() throws ServiceError(Overloaded) with a
   /// retry-after hint instead of queueing — backpressure surfaces at the
   /// API boundary, not as unbounded latency. 0 = unbounded (trusted
-  /// in-process callers).
+  /// in-process callers). Rejections carry kOverloadRetryAfterMs.
   std::size_t max_queued = 0;
-  /// The retry-after hint attached to Overloaded rejections, ms.
-  double overload_retry_after_ms = 250;
   /// Write-ahead journal for jobs carrying a journal_payload; null turns
   /// journaling off. Must outlive the scheduler. The terminal record is
   /// the last step of the terminal path, after the job's on_finish wrote

@@ -137,9 +137,10 @@ std::vector<int> parse_ports(std::string_view csv, std::string_view flag) {
     const std::string_view piece = trim(csv.substr(start, comma - start));
     if (!piece.empty()) {
       const auto port = parse_int(piece);
-      FFP_CHECK(port.has_value() && *port >= 1 && *port <= 65535, "", flag,
-                " entries must be ports (1..65535), got '", std::string(piece),
-                "'");
+      if (!port.has_value() || *port < 1 || *port > 65535) {
+        throw Error(std::string(flag) + " entries must be ports (1..65535), "
+                    "got '" + std::string(piece) + "'");
+      }
       ports.push_back(static_cast<int>(*port));
     }
     start = comma + 1;

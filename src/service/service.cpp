@@ -18,7 +18,6 @@ api::EngineOptions engine_options(const ServiceOptions& options) {
   out.budget = options.budget;
   out.cache_capacity = options.cache_capacity;
   out.max_queued = options.max_queued;
-  out.overload_retry_after_ms = options.overload_retry_after_ms;
   out.state_dir = options.state_dir;
   out.evolve_capacity = options.evolve_capacity;
   return out;

@@ -91,8 +91,6 @@ struct ServiceOptions {
   /// jobs, submits are shed with a structured Overloaded error (and a
   /// retry-after hint) instead of queueing without bound. 0 = unbounded.
   std::size_t max_queued = 0;
-  /// Retry-after hint attached to Overloaded rejections, ms.
-  double overload_retry_after_ms = 250;
   /// Durable-state directory, forwarded to api::EngineOptions::state_dir
   /// (see there for the layout and recovery semantics). Empty keeps the
   /// historical fully-in-memory server.

@@ -1,8 +1,11 @@
 // Minimal command-line argument parser for the ffp tools: --flag value
 // pairs, --switch booleans, and positional arguments, with typed access and
 // a generated usage string. No external dependencies, deliberately small.
+// A user's mistake throws a plain ffp::Error naming the flag; FFP_CHECK
+// is kept for misuse of the parser itself.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -37,11 +40,13 @@ class ArgParser {
       if (starts_with(arg, "--")) {
         const std::string name(arg.substr(2));
         const auto it = specs_.find(name);
-        FFP_CHECK(it != specs_.end(), "unknown flag --", name, "\n", usage());
+        if (it == specs_.end()) {
+          throw Error("unknown flag --" + name + "\n" + usage());
+        }
         if (it->second.is_toggle) {
           values_[name] = "true";
         } else {
-          FFP_CHECK(i + 1 < argc, "missing value for --", name);
+          if (i + 1 >= argc) throw Error("missing value for --" + name);
           values_[name] = argv[++i];
         }
       } else {
@@ -59,15 +64,31 @@ class ArgParser {
 
   std::int64_t get_int(const std::string& name) const {
     const auto v = parse_int(get(name));
-    FFP_CHECK(v.has_value(), "--", name, " expects an integer, got '",
-              get(name), "'");
+    if (!v.has_value()) {
+      throw Error("--" + name + " expects an integer, got '" + get(name) +
+                  "'");
+    }
     return *v;
+  }
+
+  /// get_int bounded to [lo, hi] (no hi: no upper bound), for checking
+  /// before a narrowing cast, which would silently change an out-of-range
+  /// value (2^32 + 2 parts would become 2).
+  std::int64_t get_int(const std::string& name, std::int64_t lo,
+                       std::int64_t hi = INT64_MAX) const {
+    const std::int64_t v = get_int(name);
+    if (v >= lo && v <= hi) return v;
+    throw Error("--" + name + " must be " +
+                (hi == INT64_MAX ? ">= " + std::to_string(lo)
+                                 : "in [" + std::to_string(lo) + ", " +
+                                       std::to_string(hi) + "]"));
   }
 
   double get_double(const std::string& name) const {
     const auto v = parse_double(get(name));
-    FFP_CHECK(v.has_value(), "--", name, " expects a number, got '",
-              get(name), "'");
+    if (!v.has_value()) {
+      throw Error("--" + name + " expects a number, got '" + get(name) + "'");
+    }
     return *v;
   }
 

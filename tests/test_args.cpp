@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 namespace ffp {
 namespace {
 
@@ -48,20 +52,65 @@ TEST(Args, PositionalArgumentsCollected) {
   EXPECT_EQ(p.positional()[1], "output.part");
 }
 
+/// The message of the ffp::Error `fn` throws ("" when it throws none).
+/// The tools print it as-is, so it names the flag and carries no
+/// FFP_CHECK expression or source path.
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Args, UnknownFlagThrows) {
   auto p = make_parser();
-  EXPECT_THROW(parse(p, {"--bogus", "1"}), Error);
+  const std::string message = error_of([&] { parse(p, {"--bogus", "1"}); });
+  EXPECT_EQ(message.rfind("unknown flag --bogus\n", 0), 0u) << message;
+  EXPECT_EQ(message.find("FFP_CHECK"), std::string::npos) << message;
 }
 
 TEST(Args, MissingValueThrows) {
   auto p = make_parser();
-  EXPECT_THROW(parse(p, {"--k"}), Error);
+  EXPECT_EQ(error_of([&] { parse(p, {"--k"}); }), "missing value for --k");
 }
 
 TEST(Args, BadTypeThrowsOnAccess) {
   auto p = make_parser();
-  parse(p, {"--k", "eight"});
-  EXPECT_THROW(p.get_int("k"), Error);
+  parse(p, {"--k", "eight", "--ratio", "half"});
+  EXPECT_EQ(error_of([&] { p.get_int("k"); }),
+            "--k expects an integer, got 'eight'");
+  EXPECT_EQ(error_of([&] { p.get_double("ratio"); }),
+            "--ratio expects a number, got 'half'");
+}
+
+TEST(Args, RangeGetterThrowsNamingTheFlagAndRange) {
+  struct Case {
+    const char* value;
+    std::int64_t lo, hi;
+    std::string message;  ///< "" = accepted
+  };
+  const std::vector<Case> cases = {
+      {"8", 1, 8, ""},
+      {"8", 8, 8, ""},
+      {"8", 0, INT64_MAX, ""},
+      {"0", 1, 64, "--k must be in [1, 64]"},
+      {"65", 1, 64, "--k must be in [1, 64]"},
+      {"4294967298", 1, INT32_MAX, "--k must be in [1, 2147483647]"},
+      {"-1", 0, INT64_MAX, "--k must be >= 0"},
+      {"-9223372036854775808", 0, INT64_MAX, "--k must be >= 0"},
+      {"99999999999999999999", 0, 9,
+       "--k expects an integer, got '99999999999999999999'"},
+      {"", 0, 9, "--k expects an integer, got ''"},
+  };
+  for (const Case& c : cases) {
+    auto p = make_parser();
+    parse(p, {"--k", c.value});
+    EXPECT_EQ(error_of([&] { p.get_int("k", c.lo, c.hi); }), c.message)
+        << c.value;
+  }
 }
 
 TEST(Args, UnregisteredAccessThrows) {

@@ -116,7 +116,6 @@ TEST(EventLoop, SustainsAThousandConcurrentConnectionsWithBoundedThreads) {
 TEST(EventLoop, ShedsBeyondMaxClientsWithStructuredError) {
   EventLoopOptions lopt = LoopServer::loop_defaults();
   lopt.max_clients = 1;
-  lopt.overload_retry_after_ms = 123;
   LoopServer server(lopt);
 
   // First connection claims the only slot. Prove the claim landed (the
@@ -139,7 +138,7 @@ TEST(EventLoop, ShedsBeyondMaxClientsWithStructuredError) {
   ASSERT_EQ(event.find("event")->as_string(), "error");
   EXPECT_EQ(event.find("code")->as_string(), "overloaded");
   EXPECT_TRUE(event.find("retryable")->as_bool());
-  EXPECT_EQ(event.find("retry_after_ms")->as_number(), 123.0);
+  EXPECT_EQ(event.find("retry_after_ms")->as_number(), kOverloadRetryAfterMs);
   std::string line;
   EXPECT_FALSE(reader.next(line));
   extra.reset();

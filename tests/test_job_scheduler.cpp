@@ -558,7 +558,6 @@ TEST(JobScheduler, QueueTtlExpiresWaitingJobsWithStructuredError) {
 TEST(JobScheduler, BoundedQueueShedsWithRetryHint) {
   JobSchedulerOptions options;
   options.max_queued = 1;
-  options.overload_retry_after_ms = 77;
   JobScheduler scheduler(std::move(options));
   const auto blocker = occupy_runner(scheduler, 2000);
   const auto queued = scheduler.submit(quick_job(2));  // fills the queue
@@ -568,7 +567,7 @@ TEST(JobScheduler, BoundedQueueShedsWithRetryHint) {
   } catch (const ServiceError& e) {
     EXPECT_EQ(e.code(), ErrCode::Overloaded);
     EXPECT_TRUE(e.retryable());
-    EXPECT_EQ(e.retry_after_ms(), 77.0);
+    EXPECT_EQ(e.retry_after_ms(), kOverloadRetryAfterMs);
   }
   queued->cancel();
   // Cancelled out of the queue: the slot is free again at once.

@@ -1,6 +1,7 @@
 // persist/journal: WAL record lifecycle, tolerant replay over CRC-damaged
-// tails, duplicate-terminal tolerance, unknown-version loudness, and
-// compaction — including under concurrent appenders.
+// tails, duplicate-terminal tolerance, older journals' started records,
+// unknown-version loudness, and compaction — including under concurrent
+// appenders.
 #include "persist/journal.hpp"
 
 #include <gtest/gtest.h>
@@ -30,7 +31,6 @@ TEST(Journal, LifecycleAndAutoCompaction) {
 
   journal.submitted(1, "graph=gen:path:8\nk=2\n");
   journal.submitted(2, "graph=gen:path:9\nk=3\n");
-  journal.started(1);
   EXPECT_EQ(journal.outstanding(), 2u);
   journal.terminal(1, "done");
   EXPECT_EQ(journal.outstanding(), 1u);
@@ -51,10 +51,8 @@ TEST(Journal, ReplaySeparatesFinishedFromUnfinished) {
     journal.submitted(1, "payload-one");
     journal.submitted(2, "payload-two");
     journal.submitted(3, "payload-three");
-    journal.started(1);
-    journal.started(2);
     journal.terminal(2, "done");
-    // Crash here: 1 is running, 3 is queued, 2 finished.
+    // Crash here: 1 and 3 are owed, 2 finished.
   }
   const auto replay = persist::Journal::replay(path);
   EXPECT_FALSE(replay.truncated);
@@ -71,6 +69,44 @@ TEST(Journal, ReplaySeparatesFinishedFromUnfinished) {
   EXPECT_EQ(next.outstanding(), 0u);
   persist::Journal after(path);  // compaction made the hand-off clean
   EXPECT_TRUE(after.recovered().empty());
+}
+
+TEST(Journal, OlderJournalsWithStartedRecordsReplayTheSame) {
+  // Older builds also appended "R <id>" when a job started running. Their
+  // journals must recover the same work list, and the started records are
+  // not damage.
+  const std::string path = tmp_journal("jr_started_records.rec");
+  {
+    persist::RecordWriter writer(path, persist::kJournalVersion);
+    writer.append("S 1\npayload-one");
+    writer.append("S 2\npayload-two");
+    writer.append("S 3\npayload-three");
+    writer.append("R 1");
+    writer.append("R 2");
+    writer.append("T 2 done");
+    writer.append("R 3");
+  }
+  const auto replay = persist::Journal::replay(path);
+  EXPECT_FALSE(replay.truncated);
+  ASSERT_EQ(replay.unfinished.size(), 2u);
+  EXPECT_EQ(replay.unfinished[0], "payload-one");
+  EXPECT_EQ(replay.unfinished[1], "payload-three");
+
+  persist::Journal journal(path);
+  EXPECT_FALSE(journal.recovered_truncated());
+  EXPECT_EQ(journal.recovered(), replay.unfinished);
+}
+
+TEST(Journal, WritesOnlySubmittedAndTerminalRecords) {
+  const std::string path = tmp_journal("jr_two_records.rec");
+  persist::Journal journal(path);
+  journal.submitted(7, "p7");
+  journal.submitted(8, "p8");
+  journal.terminal(7, "done");
+  const auto read = persist::read_records(path, persist::kJournalVersion);
+  EXPECT_FALSE(read.truncated);
+  EXPECT_EQ(read.records, (std::vector<std::string>{"S 7\np7", "S 8\np8",
+                                                    "T 7 done"}));
 }
 
 TEST(Journal, CrcCorruptTailKeepsPriorRecords) {
@@ -146,7 +182,7 @@ TEST(Journal, UnparsableRecordFlagsTruncation) {
 TEST(Journal, CompactionUnderConcurrentAppends) {
   const std::string path = tmp_journal("jr_concurrent.rec");
   persist::Journal journal(path);
-  // 8 threads × 25 jobs, each submit/start/terminal — every terminal that
+  // 8 threads × 25 jobs, each submit/terminal — every terminal that
   // empties the outstanding set compacts the file while siblings append.
   constexpr int kThreads = 8;
   constexpr int kJobsPerThread = 25;
@@ -158,7 +194,6 @@ TEST(Journal, CompactionUnderConcurrentAppends) {
       for (int i = 0; i < kJobsPerThread; ++i) {
         const std::uint64_t id = next_id.fetch_add(1);
         journal.submitted(id, "job-" + std::to_string(id));
-        journal.started(id);
         journal.terminal(id, "done");
       }
     });

@@ -15,7 +15,9 @@
 //     bigger than any request relayed intact, and a shard reaping an idle
 //     link never answers the client's next request;
 //   * an elite migrated between shards is admitted through the peer's
-//     diversity-aware archive rules and is visible in its counters.
+//     diversity-aware archive rules and is visible in its counters, and
+//     on failover it pays: the peer that received a dead home shard's
+//     elites starts its first evolve submit from them.
 #include "shard/hash_ring.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -32,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/problem.hpp"
 #include "net/event_loop.hpp"
 #include "serve_support.hpp"
 #include "service/client.hpp"
@@ -42,6 +46,7 @@
 #include "shard/router.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace ffp {
 namespace {
@@ -292,7 +297,6 @@ TEST(Router, ServesManyClientsWithoutAThreadEach) {
 TEST(Router, ShedsClientsBeyondMaxClients) {
   shard::RouterOptions ropt;
   ropt.loop.max_clients = 1;
-  ropt.loop.overload_retry_after_ms = 123;
   Fleet fleet(1, ropt);
 
   // Prove the holder's claim landed before dialing the next connection.
@@ -309,7 +313,8 @@ TEST(Router, ShedsClientsBeyondMaxClients) {
   ASSERT_TRUE(reader.next(line));
   const JsonValue event = JsonValue::parse(line);
   EXPECT_EQ(event.find("code")->as_string(), "overloaded") << line;
-  EXPECT_EQ(event.find("retry_after_ms")->as_number(), 123.0) << line;
+  EXPECT_EQ(event.find("retry_after_ms")->as_number(), kOverloadRetryAfterMs)
+      << line;
   EXPECT_FALSE(reader.next(line));
 }
 
@@ -456,6 +461,68 @@ TEST(Migration, DeadPeerIsSkippedWithoutStallingTheSweep) {
   EXPECT_EQ(migrator.migrate_once(), 0u);
   EXPECT_EQ(sender.host.serve_stats().snapshot().migrations_sent, 0);
   // The elite was NOT marked sent: a revived peer gets it next sweep.
+}
+
+/// Median of five or more values.
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+TEST(Migration, MigratedElitesImproveTheSurvivorsFirstEvolveResult) {
+  // The failover case migration exists for: a graph evolved on its home
+  // shard, which then dies, so its next evolve submit lands on a peer.
+  // The peer that received the home's elites must start from them: its
+  // first result is never worse than the home's best, and over the seeds
+  // it beats a peer that received nothing.
+  constexpr int kSeeds = 5;
+  constexpr int kHomeRounds = 3;
+  const api::Problem problem = api::Problem::from_any("geometric:1024,0.06,3");
+  api::SolveSpec spec;
+  spec.method = "fusion_fission";
+  spec.k = 8;
+  spec.steps = 1500;
+  spec.restarts = 3;
+  spec.evolve = true;
+
+  std::vector<double> with_migration;
+  std::vector<double> without_migration;
+  for (int s = 0; s < kSeeds; ++s) {
+    Shard home;
+    Shard survivor;
+    Shard cold;
+    for (int round = 0; round < kHomeRounds; ++round) {
+      spec.seed = static_cast<std::uint64_t>(100 * s + round + 1);
+      home.host.engine().solve(problem, spec);
+    }
+    const std::optional<double> home_best = home.host.engine().archive_best(
+        problem.digest(), spec.k, spec.objective);
+    ASSERT_TRUE(home_best.has_value());
+
+    shard::MigrateOptions mopt;
+    mopt.peer_ports = {survivor.port()};
+    mopt.period_ms = 60000;  // never ticks on its own; we drive it
+    {
+      shard::EliteMigrator migrator(home.host.engine(),
+                                    home.host.serve_stats(), mopt);
+      ASSERT_EQ(migrator.migrate_once(), 1u);
+    }
+    // The home is gone from here on: only the survivors are asked.
+    spec.seed = static_cast<std::uint64_t>(100 * s + kHomeRounds + 1);
+    const double on = survivor.host.engine().solve(problem, spec).best_value;
+    const double off = cold.host.engine().solve(problem, spec).best_value;
+    EXPECT_LE(on, *home_best) << "seed " << s;
+    with_migration.push_back(on);
+    without_migration.push_back(off);
+  }
+  std::string values;
+  for (int s = 0; s < kSeeds; ++s) {
+    values += format(" %.4f/%.4f", with_migration[static_cast<std::size_t>(s)],
+                     without_migration[static_cast<std::size_t>(s)]);
+  }
+  EXPECT_LT(median_of(with_migration), median_of(without_migration))
+      << "migration bought nothing on failover (migrated/cold:" << values
+      << ")";
 }
 
 // ------------------------------------------------------------------------

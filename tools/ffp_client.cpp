@@ -90,7 +90,7 @@ void write_result_partition(const std::string& result_line,
 int run_script(const ffp::FdHandle& conn, ffp::LineReader& reader,
                const std::string& path, bool send_shutdown) {
   std::ifstream in(path);
-  FFP_CHECK(in.good(), "cannot open script: ", path);
+  if (!in.good()) throw ffp::Error("cannot open --script " + path);
   std::string line;
   std::int64_t sent = 0;
   while (std::getline(in, line)) {
@@ -149,35 +149,29 @@ int main(int argc, char** argv) {
       std::fputs(args.usage().c_str(), stdout);
       return 0;
     }
-    const auto port = ffp::parse_int(args.get("connect"));
-    FFP_CHECK(port.has_value() && *port > 0 && *port <= 65535,
-              "--connect must be a port number");
+    const int port = static_cast<int>(args.get_int("connect", 1, 65535));
 
     if (!args.get("script").empty()) {
-      ffp::FdHandle conn = ffp::tcp_connect(static_cast<int>(*port));
+      ffp::FdHandle conn = ffp::tcp_connect(port);
       ffp::LineReader reader(conn);
       return run_script(conn, reader, args.get("script"),
                         args.get_bool("shutdown"));
     }
 
-    FFP_CHECK(!args.get("graph").empty(),
-              "need --graph (or --script) to submit jobs");
+    if (args.get("graph").empty()) {
+      throw ffp::Error("need --graph (or --script) to submit jobs");
+    }
     // Bounded before anything is built: each job is a submit line held in
     // memory, and the retry count is narrowed to int.
-    const std::int64_t jobs = args.get_int("jobs");
-    FFP_CHECK(jobs >= 1 && jobs <= 1 << 20, "--jobs must be in [1, 2^20]");
-    FFP_CHECK(args.get_int("restarts") >= 1, "--restarts must be >= 1");
+    const std::int64_t jobs = args.get_int("jobs", 1, 1 << 20);
+    args.get_int("restarts", 1);  // submit_line sends it
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
-    const std::int64_t retries = args.get_int("retries");
-    FFP_CHECK(retries >= 1 && retries <= 1 << 20,
-              "--retries must be in [1, 2^20]");
-    const std::int64_t backoff_ms = args.get_int("backoff-ms");
-    FFP_CHECK(backoff_ms >= 1, "--backoff-ms must be >= 1");
-    const std::int64_t timeout_ms = args.get_int("timeout-ms");
-    FFP_CHECK(timeout_ms >= 0, "--timeout-ms must be >= 0");
+    const std::int64_t retries = args.get_int("retries", 1, 1 << 20);
+    const std::int64_t backoff_ms = args.get_int("backoff-ms", 1);
+    const std::int64_t timeout_ms = args.get_int("timeout-ms", 0);
 
     ffp::ServiceClientOptions options;
-    options.port = static_cast<int>(*port);
+    options.port = port;
     options.retry.max_attempts = static_cast<int>(retries);
     options.retry.base_ms = static_cast<double>(backoff_ms);
     options.retry.max_ms = static_cast<double>(backoff_ms) * 50;
@@ -234,7 +228,7 @@ int main(int argc, char** argv) {
       // Best-effort: the server may gate remote shutdown (Forbidden) or
       // be gone already; neither should fail a batch that succeeded.
       try {
-        ffp::FdHandle conn = ffp::tcp_connect(static_cast<int>(*port));
+        ffp::FdHandle conn = ffp::tcp_connect(port);
         ffp::LineReader reader(conn);
         if (timeout_ms > 0) {
           reader.set_timeout_ms(static_cast<double>(timeout_ms));

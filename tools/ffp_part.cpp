@@ -110,16 +110,9 @@ int main(int argc, char** argv) {
   }
 
   try {
-    // Range-checked before the narrowing casts, which would silently
-    // change an out-of-range value (2^32 + 2 parts would become 2).
-    const std::int64_t threads_arg = args.get_int("threads");
-    FFP_CHECK(threads_arg >= 0 && threads_arg <= 1 << 20,
-              "--threads must be in [0, 2^20] (0 = hardware concurrency)");
-    const std::int64_t k_arg = args.get_int("k");
-    FFP_CHECK(k_arg >= 1 && k_arg <= INT_MAX, "--k must be in [1, 2^31 - 1]");
-    const std::int64_t restarts_arg = args.get_int("restarts");
-    FFP_CHECK(restarts_arg >= 1 && restarts_arg <= INT_MAX,
-              "--restarts must be in [1, 2^31 - 1]");
+    const std::int64_t threads_arg = args.get_int("threads", 0, 1 << 20);
+    const std::int64_t k_arg = args.get_int("k", 1, INT_MAX);
+    const std::int64_t restarts_arg = args.get_int("restarts", 1, INT_MAX);
 
     const ffp::api::Problem problem =
         ffp::api::Problem::from_any(args.get("graph"));

@@ -61,40 +61,25 @@ int main(int argc, char** argv) {
       return 0;
     }
     ffp::shard::RouterOptions options;
-    const std::int64_t listen = args.get_int("listen");
-    FFP_CHECK(listen >= 0 && listen <= 65535,
-              "--listen must be a port number (0..65535)");
-    options.loop.port = static_cast<int>(listen);
+    options.loop.port = static_cast<int>(args.get_int("listen", 0, 65535));
     options.shard_ports = ffp::parse_ports(args.get("shards"), "--shards");
-    FFP_CHECK(!options.shard_ports.empty(),
-              "--shards needs at least one backend port");
-    const std::int64_t max_clients = args.get_int("max-clients");
-    FFP_CHECK(max_clients >= 1 && max_clients <= 4096,
-              "--max-clients must be in [1, 4096]");
+    if (options.shard_ports.empty()) {
+      throw ffp::Error("--shards needs at least one backend port");
+    }
+    const std::int64_t max_clients = args.get_int("max-clients", 1, 4096);
     options.loop.max_clients = static_cast<unsigned>(max_clients);
-    const std::int64_t idle_ms = args.get_int("idle-timeout-ms");
-    FFP_CHECK(idle_ms >= 0, "--idle-timeout-ms must be >= 0 (0 = never)");
-    options.loop.idle_timeout_ms = static_cast<double>(idle_ms);
-    const std::int64_t write_ms = args.get_int("write-timeout-ms");
-    FFP_CHECK(write_ms >= 0, "--write-timeout-ms must be >= 0");
-    options.loop.write_timeout_ms = static_cast<double>(write_ms);
-    const std::int64_t io_ms = args.get_int("io-timeout-ms");
-    FFP_CHECK(io_ms >= 0, "--io-timeout-ms must be >= 0 (0 = unbounded)");
-    options.backend_io_timeout_ms = static_cast<double>(io_ms);
-    const std::int64_t cooldown = args.get_int("down-cooldown-ms");
-    FFP_CHECK(cooldown >= 1, "--down-cooldown-ms must be >= 1");
-    options.down_cooldown_ms = static_cast<double>(cooldown);
-    const std::int64_t vnodes = args.get_int("vnodes");
-    FFP_CHECK(vnodes >= 1 && vnodes <= 4096,
-              "--vnodes must be in [1, 4096]");
-    options.vnodes = static_cast<int>(vnodes);
+    options.loop.idle_timeout_ms =
+        static_cast<double>(args.get_int("idle-timeout-ms", 0));
+    options.loop.write_timeout_ms =
+        static_cast<double>(args.get_int("write-timeout-ms", 0));
+    options.backend_io_timeout_ms =
+        static_cast<double>(args.get_int("io-timeout-ms", 0));
+    options.down_cooldown_ms =
+        static_cast<double>(args.get_int("down-cooldown-ms", 1));
+    options.vnodes = static_cast<int>(args.get_int("vnodes", 1, 4096));
     options.allow_shutdown = args.get_bool("allow-remote-shutdown");
-    options.limits.graph.max_vertices = args.get_int("max-vertices");
-    options.limits.graph.max_edges = args.get_int("max-edges");
-    FFP_CHECK(options.limits.graph.max_vertices >= 0,
-              "--max-vertices must be >= 0");
-    FFP_CHECK(options.limits.graph.max_edges >= 0,
-              "--max-edges must be >= 0");
+    options.limits.graph.max_vertices = args.get_int("max-vertices", 0);
+    options.limits.graph.max_edges = args.get_int("max-edges", 0);
 
     ffp::shard::Router router(std::move(options));
     g_router = &router;

@@ -54,26 +54,24 @@
 #include "service/thread_budget.hpp"
 #include "shard/migrate.hpp"
 #include "util/args.hpp"
-#include "util/strings.hpp"
 
 namespace {
 
 ffp::ServiceOptions host_options(const ffp::ArgParser& args) {
   ffp::ServiceOptions options;
-  options.runners = static_cast<unsigned>(args.get_int("runners"));
+  options.runners =
+      static_cast<unsigned>(args.get_int("runners", 1, 1 << 20));
   options.cache_capacity =
-      static_cast<std::size_t>(args.get_int("cache-entries"));
+      static_cast<std::size_t>(args.get_int("cache-entries", 0, 1 << 20));
   options.stream_progress = args.get_bool("stream");
   options.allow_files = !args.get_bool("no-files");
-  options.max_queued = static_cast<std::size_t>(args.get_int("max-queued"));
+  options.max_queued =
+      static_cast<std::size_t>(args.get_int("max-queued", 0, 1 << 20));
   options.state_dir = args.get("state-dir");
   options.evolve_capacity =
-      static_cast<std::size_t>(args.get_int("evolve-elites"));
-  options.limits.graph.max_vertices = args.get_int("max-vertices");
-  options.limits.graph.max_edges = args.get_int("max-edges");
-  FFP_CHECK(options.limits.graph.max_vertices >= 0,
-            "--max-vertices must be >= 0");
-  FFP_CHECK(options.limits.graph.max_edges >= 0, "--max-edges must be >= 0");
+      static_cast<std::size_t>(args.get_int("evolve-elites", 0, 4096));
+  options.limits.graph.max_vertices = args.get_int("max-vertices", 0);
+  options.limits.graph.max_edges = args.get_int("max-edges", 0);
   return options;
 }
 
@@ -117,8 +115,7 @@ std::unique_ptr<ffp::shard::EliteMigrator> make_migrator(
   const std::vector<int> peers =
       ffp::parse_ports(args.get("peers"), "--peers");
   if (peers.empty()) return nullptr;
-  const std::int64_t period = args.get_int("migrate-every-ms");
-  FFP_CHECK(period >= 1, "--migrate-every-ms must be >= 1");
+  const std::int64_t period = args.get_int("migrate-every-ms", 1);
   ffp::shard::MigrateOptions options;
   options.peer_ports = peers;
   options.period_ms = static_cast<double>(period);
@@ -129,13 +126,9 @@ std::unique_ptr<ffp::shard::EliteMigrator> make_migrator(
 }
 
 int serve_tcp(const ffp::ArgParser& args, int port) {
-  const std::int64_t max_clients = args.get_int("max-clients");
-  FFP_CHECK(max_clients >= 1 && max_clients <= 4096,
-            "--max-clients must be in [1, 4096]");
-  const std::int64_t idle_ms = args.get_int("idle-timeout-ms");
-  FFP_CHECK(idle_ms >= 0, "--idle-timeout-ms must be >= 0 (0 = no reaping)");
-  const std::int64_t write_ms = args.get_int("write-timeout-ms");
-  FFP_CHECK(write_ms >= 0, "--write-timeout-ms must be >= 0 (0 = unbounded)");
+  const std::int64_t max_clients = args.get_int("max-clients", 1, 4096);
+  const std::int64_t idle_ms = args.get_int("idle-timeout-ms", 0);
+  const std::int64_t write_ms = args.get_int("write-timeout-ms", 0);
 
   ffp::ServiceHost host(host_options(args));
   if (!args.get("state-dir").empty()) {
@@ -219,32 +212,15 @@ int main(int argc, char** argv) {
       std::fputs(args.usage().c_str(), stdout);
       return 0;
     }
-    const std::int64_t runners = args.get_int("runners");
-    FFP_CHECK(runners >= 1 && runners <= 1 << 20,
-              "--runners must be in [1, 2^20]");
-    const std::int64_t cache_entries = args.get_int("cache-entries");
-    FFP_CHECK(cache_entries >= 0 && cache_entries <= 1 << 20,
-              "--cache-entries must be in [0, 2^20]");
-    const std::int64_t evolve_elites = args.get_int("evolve-elites");
-    FFP_CHECK(evolve_elites >= 0 && evolve_elites <= 4096,
-              "--evolve-elites must be in [0, 4096]");
-    const std::int64_t max_queued = args.get_int("max-queued");
-    FFP_CHECK(max_queued >= 0 && max_queued <= 1 << 20,
-              "--max-queued must be in [0, 2^20] (0 = unbounded)");
-    const std::int64_t budget = args.get_int("budget");
-    FFP_CHECK(budget >= 0 && budget <= 1 << 20,
-              "--budget must be in [0, 2^20] (0 = hardware concurrency)");
-    ffp::ThreadBudget::set_process_total(static_cast<unsigned>(budget));
-
-    const std::string listen = args.get("listen");
-    if (listen.empty()) {
+    // The options are range-checked where they are read, all before a
+    // job can run or a connection is accepted.
+    ffp::ThreadBudget::set_process_total(
+        static_cast<unsigned>(args.get_int("budget", 0, 1 << 20)));
+    if (args.get("listen").empty()) {
       serve_stdio(args);
       return 0;
     }
-    const auto port = ffp::parse_int(listen);
-    FFP_CHECK(port.has_value() && *port >= 0 && *port <= 65535,
-              "--listen must be a port number (0..65535)");
-    return serve_tcp(args, static_cast<int>(*port));
+    return serve_tcp(args, static_cast<int>(args.get_int("listen", 0, 65535)));
   } catch (const ffp::Error& e) {
     std::fprintf(stderr, "ffp_serve: %s\n", e.what());
     return 1;
