@@ -1,9 +1,9 @@
 // Reproduction of Table 1 (§6): every method on the core-area graph,
 // k = 32, under the three criteria (Cut/1000, Ncut, Mcut).
 //
-// Protocol (DESIGN.md §5.2): Chaco-family rows minimize Cut once;
-// metaheuristic rows run once optimizing Mcut (§5 — "the appropriate
-// objective function to use is Mcut") with a wall-clock budget
+// Protocol (README, "Reproducing the paper"): Chaco-family rows minimize
+// Cut once; metaheuristic rows run once optimizing Mcut (§5 — "the
+// appropriate objective function to use is Mcut") with a wall-clock budget
 // (FFP_BENCH_BUDGET_MS, default 6000 ms — the paper gave them tens of
 // minutes on a 2006 Pentium 4, so absolute values differ; the *ordering*
 // is the result). Every row's single partition is evaluated under all
@@ -104,6 +104,6 @@ int main() {
   std::printf("\nabsolute values are not comparable to the paper's: the "
               "graph is a synthetic\nsubstitute for proprietary ENAC data "
               "and budgets are seconds, not tens of\nminutes (see "
-              "EXPERIMENTS.md).\n");
+              "README, \"Reproducing the paper\").\n");
   return 0;
 }

@@ -1,7 +1,6 @@
 // Generality sweep over Walshaw-archive-style graph families (§1 motivates
 // partitioning for FE meshes, VLSI, clustering). The archive itself is not
-// shipped; the generators reproduce its structural families at laptop scale
-// (DESIGN.md §2.3).
+// shipped; the generators reproduce its structural families at laptop scale.
 //
 // Comparison criterion: Mcut (the paper's application criterion) — ratio
 // objectives keep the metaheuristics honest, whereas unconstrained Cut

@@ -142,6 +142,15 @@ struct Engine::State {
     const std::string expect =
         format("g%016llx|", static_cast<unsigned long long>(problem.digest()));
     FFP_CHECK(key.rfind(expect, 0) == 0, "cache entry digest mismatch");
+    // The key's `|k=<k>|` field bounds the part ids: a Partition is sized
+    // by its largest id.
+    const std::size_t at = key.find("|k=");
+    FFP_CHECK(at != std::string::npos, "cache entry key names no k");
+    const std::string_view k_text =
+        std::string_view(key).substr(at + 3, key.find('|', at + 3) - at - 3);
+    const auto k = parse_int(k_text);
+    FFP_CHECK(k.has_value() && *k >= 1, "cache entry key has a bad k");
+    entry.check_parts(*k);
     SolverResult res{Partition::from_assignment(problem.graph(), entry.parts),
                      entry.real("value"), entry.real("seconds"), {}};
     cache.put(key, share_result(std::move(res), problem.share()));

@@ -21,14 +21,12 @@ ResolvedSpec SolveSpec::resolve() const {
             "SolveSpec::checkpoint_every_ms must be >= 0, got ",
             checkpoint_every_ms);
   ResolvedSpec out;
-  const auto& registry = SolverRegistry::builtin();
-  const auto [name, opts_text] = SolverRegistry::split_spec(method);
-  const SolverOptions options = SolverOptions::parse(opts_text);
   // THE construction: validates the whole spec — name, option keys,
   // option values — and is reused all the way into the scheduler.
-  out.solver = registry.create(name, options);
+  auto [solver, canonical] = SolverRegistry::builtin().resolve(method);
+  out.solver = std::move(solver);
+  out.canonical_method = std::move(canonical);
   out.metaheuristic = out.solver->is_metaheuristic();
-  out.canonical_method = SolverRegistry::canonical_join(name, options);
   out.steps = steps;
   if (out.steps == 0 && out.metaheuristic && restarts > 1) {
     const double derived = budget_ms * kStepsPerMs;

@@ -27,7 +27,7 @@ namespace ffp::api {
 /// submit hot path never re-parses the spec per question it asks.
 struct ResolvedSpec {
   SolverPtr solver;              ///< the constructed (validated) solver
-  std::string canonical_method;  ///< SolverRegistry::canonical_spec form
+  std::string canonical_method;  ///< SolverRegistry::resolve's canonical text
   std::int64_t steps = 0;        ///< the budget the solve actually runs under
   bool metaheuristic = false;
   bool deterministic = false;    ///< result is a pure function of the spec

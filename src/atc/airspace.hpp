@@ -1,5 +1,5 @@
 // Synthetic European airspace geometry — the substitute for the paper's
-// proprietary ENAC sector data (DESIGN.md §2.1).
+// proprietary ENAC sector data.
 //
 // Sector centres are sampled (best-candidate blue-noise) from a union of
 // country boxes approximating the paper's "country core area" (Germany,

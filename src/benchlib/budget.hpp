@@ -4,8 +4,8 @@
 // one core. Override with:
 //   FFP_BENCH_BUDGET_MS  — per-metaheuristic-run budget (table benches)
 //   FFP_FIG1_BUDGET_MS   — total trajectory length for the Figure-1 bench
-// The paper ran minutes-to-an-hour on a 2006 Pentium 4; see EXPERIMENTS.md
-// for the scaling discussion.
+// The paper ran minutes-to-an-hour on a 2006 Pentium 4, so absolute values
+// differ from its tables (README, "Reproducing the paper").
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,8 @@
 // uniform callable. Chaco-family rows (linear / spectral / multilevel /
 // percolation) are deterministic Cut minimizers evaluated under all three
 // criteria; metaheuristic rows take a time budget and optimize the
-// requested criterion directly (DESIGN.md §5.2).
+// requested criterion directly (the Table-1 protocol, README "Reproducing
+// the paper").
 //
 // Every row is built from the solver registry (solver/registry.hpp): a row
 // is a paper label plus a registry spec string, so the construction logic

@@ -5,7 +5,7 @@
 // *equal-quality* partitions at different p carry equal energy — the
 // binding-energy analogy.
 //
-// Our concrete instantiation (DESIGN.md §5.3) uses the expected objective
+// Our concrete instantiation uses the expected objective
 // of a uniformly random p-partition as the scale:
 //   Cut : E[Σ cut(A)] = 2M·(1 − 1/p)            → s(p) ∝ 1 − 1/p
 //   Ncut: each term ≈ 1 − 1/p, p terms          → s(p) ∝ p − 1

@@ -240,6 +240,7 @@ void EliteArchive::load_population_file(const std::string& path) {
     PartitionRecord record =
         decode_partition_record(read.records[i], {"value", "stamp"});
     FFP_CHECK(!record.parts.empty(), "empty elite in population file");
+    record.check_parts(key.k);
     population.push_back(Elite{
         std::make_shared<const std::vector<int>>(std::move(record.parts)),
         record.real("value"),

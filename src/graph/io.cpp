@@ -1,8 +1,10 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <istream>
@@ -35,12 +37,6 @@ bool next_line(std::istream& in, std::string& line, std::int64_t& line_no) {
     if (!is_comment(line)) return true;
   }
   return false;
-}
-
-std::ifstream open_in(const std::string& path) {
-  std::ifstream in(path);
-  FFP_CHECK(in.good(), "cannot open for reading: ", path);
-  return in;
 }
 
 /// Reservations trust the declared size only up to this many elements — a
@@ -201,7 +197,12 @@ Graph read_chaco(std::istream& in, const IoLimits& limits) {
 }
 
 Graph read_chaco_file(const std::string& path, const IoLimits& limits) {
-  auto in = open_in(path);
+  std::ifstream in(path);
+  if (!in.good()) {
+    // A user-named file: the message names it, not the code that read it.
+    throw Error("cannot open for reading: " + path + ": " +
+                std::strerror(errno));
+  }
   return read_chaco(in, limits);
 }
 
@@ -252,65 +253,6 @@ void write_chaco_file(const Graph& g, const std::string& path) {
   persist::atomic_write_file(path, out.str());
 }
 
-Graph read_edge_list(std::istream& in, const IoLimits& limits) {
-  std::string line;
-  std::int64_t line_no = 0;
-  std::vector<WeightedEdge> edges;
-  VertexId max_v = -1;
-  while (next_line(in, line, line_no)) {
-    const auto tok = split_ws(line);
-    if (tok.empty()) continue;
-    if (tok.size() != 2 && tok.size() != 3) {
-      fail(line_no, "expected 'u v [w]'");
-    }
-    const auto u = parse_int(tok[0]);
-    const auto v = parse_int(tok[1]);
-    if (!u || !v || *u < 0 || *v < 0) fail(line_no, "invalid endpoint");
-    // Endpoints imply the vertex count (max id + 1): range-check them so a
-    // single bogus line cannot make from_edges allocate by a huge id.
-    if (*u >= limits.vertex_cap() || *v >= limits.vertex_cap()) {
-      fail(line_no, "endpoint exceeds vertex limit " +
-                        std::to_string(limits.vertex_cap()));
-    }
-    if (*u == *v) {
-      fail(line_no, "self loop on vertex " + std::to_string(*u));
-    }
-    Weight w = 1.0;
-    if (tok.size() == 3) {
-      const auto wd = parse_double(tok[2]);
-      if (!wd || !std::isfinite(*wd) || *wd < 0) {
-        fail(line_no, "invalid weight (must be finite and >= 0)");
-      }
-      w = *wd;
-    }
-    if (static_cast<std::int64_t>(edges.size()) >= limits.edge_cap()) {
-      fail(line_no,
-           "edge limit " + std::to_string(limits.edge_cap()) + " exceeded");
-    }
-    edges.push_back(
-        {static_cast<VertexId>(*u), static_cast<VertexId>(*v), w});
-    max_v = std::max(max_v, std::max(static_cast<VertexId>(*u),
-                                     static_cast<VertexId>(*v)));
-  }
-  return Graph::from_edges(max_v + 1, edges);
-}
-
-Graph read_edge_list_file(const std::string& path, const IoLimits& limits) {
-  auto in = open_in(path);
-  return read_edge_list(in, limits);
-}
-
-void write_edge_list(const Graph& g, std::ostream& out) {
-  out << std::setprecision(17);  // round-trip doubles exactly
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const auto nbrs = g.neighbors(v);
-    const auto ws = g.neighbor_weights(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      if (nbrs[i] > v) out << v << ' ' << nbrs[i] << ' ' << ws[i] << '\n';
-    }
-  }
-}
-
 std::vector<int> read_partition(std::istream& in) {
   std::string line;
   std::int64_t line_no = 0;
@@ -325,11 +267,6 @@ std::vector<int> read_partition(std::istream& in) {
     parts.push_back(static_cast<int>(*p));
   }
   return parts;
-}
-
-std::vector<int> read_partition_file(const std::string& path) {
-  auto in = open_in(path);
-  return read_partition(in);
 }
 
 void write_partition(std::span<const int> parts, std::ostream& out) {
@@ -386,6 +323,15 @@ std::uint64_t PartitionRecord::hex(std::string_view name) const {
   const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v, 16);
   if (ec != std::errc() || end != s.data() + s.size()) bad_field(name);
   return v;
+}
+
+void PartitionRecord::check_parts(std::int64_t k) const {
+  for (const int p : parts) {
+    if (p >= k) {
+      throw Error("record part id " + std::to_string(p) + " is outside [0, " +
+                  std::to_string(k) + ")");
+    }
+  }
 }
 
 PartitionRecord decode_partition_record(

@@ -7,7 +7,6 @@
 //    on fmt (0, 1, 10, 11, 100, 110, 111 — leading digit enables vertex
 //    sizes, which we accept and ignore). '%' or '#' start comment lines.
 //    This is the format of the Walshaw benchmark archive.
-//  - Plain edge list: "u v [w]" per line, 0-indexed.
 //  - Partition files: one part id per line, as written by Chaco/METIS.
 //  - Durable partition records: `<name> <value>` header lines, then a
 //    partition file body (see encode_partition_record below).
@@ -52,13 +51,7 @@ Graph read_chaco_file(const std::string& path, const IoLimits& limits = {});
 void write_chaco(const Graph& g, std::ostream& out);
 void write_chaco_file(const Graph& g, const std::string& path);
 
-Graph read_edge_list(std::istream& in, const IoLimits& limits = {});
-Graph read_edge_list_file(const std::string& path,
-                          const IoLimits& limits = {});
-void write_edge_list(const Graph& g, std::ostream& out);
-
 std::vector<int> read_partition(std::istream& in);
-std::vector<int> read_partition_file(const std::string& path);
 void write_partition(std::span<const int> parts, std::ostream& out);
 void write_partition_file(std::span<const int> parts, const std::string& path);
 
@@ -89,6 +82,9 @@ struct PartitionRecord {
                        std::int64_t hi) const;
   double real(std::string_view name) const;
   std::uint64_t hex(std::string_view name) const;  ///< population digests
+  /// Throws ffp::Error unless every part id lies in [0, k). Each owner
+  /// checks against its own k: a Partition is sized by its largest id.
+  void check_parts(std::int64_t k) const;
 };
 
 /// Reads one header line per name, in order, then the rest as

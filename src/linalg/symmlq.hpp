@@ -7,7 +7,7 @@
 // solver. We implement the MINRES member of that family: it shares SYMMLQ's
 // Lanczos machinery and solves the same class of systems, with simpler
 // recurrences and a monotone residual. The public API keeps the paper's
-// SYMMLQ terminology; the substitution is recorded in DESIGN.md §2.
+// SYMMLQ terminology (README, "Reproducing the paper").
 #pragma once
 
 #include <cstdint>

@@ -6,11 +6,11 @@
 // fixed number of consecutive rejections; then the temperature drops.
 // Connectivity of parts is not forced, exactly as the paper stresses.
 //
-// Interpretation notes (documented in DESIGN.md §2/§5): the paper's cooling
-// formula D(T) = T·(tmax−tmin)/tmax is degenerate for its own tmin = 0
-// setting (no decrease), so the ratio is used as a geometric cooling factor;
-// tmax auto-calibrates to the move-delta scale when not set, since Cut and
-// Mcut live on very different numeric ranges.
+// Interpretation notes (also in README, "Reproducing the paper"): the
+// paper's cooling formula D(T) = T·(tmax−tmin)/tmax is degenerate for its
+// own tmin = 0 setting (no decrease), so the ratio is used as a geometric
+// cooling factor; tmax auto-calibrates to the move-delta scale when not
+// set, since Cut and Mcut live on very different numeric ranges.
 #pragma once
 
 #include <cstdint>

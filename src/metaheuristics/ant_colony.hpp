@@ -10,8 +10,8 @@
 // is forced — all per the paper.
 //
 // The colony internals the paper leaves to its French-journal companion [2]
-// are filled with standard ACO choices (see DESIGN.md §2): four parameters,
-// matching the paper's "ant colony has four parameters".
+// are filled with standard ACO choices (README, "Reproducing the paper"):
+// four parameters, matching the paper's "ant colony has four parameters".
 #pragma once
 
 #include <cstdint>

@@ -89,17 +89,7 @@ std::vector<int> project_partition(const std::vector<CoarseLevel>& chain,
                                    std::span<const int> coarse_parts) {
   FFP_CHECK(levels <= chain.size(), "levels out of range");
   std::vector<int> parts(coarse_parts.begin(), coarse_parts.end());
-  for (std::size_t l = levels; l-- > 0;) {
-    const auto& map = chain[l].fine_to_coarse;
-    FFP_CHECK(parts.size() ==
-                  static_cast<std::size_t>(chain[l].coarse.num_vertices()),
-              "coarse_parts size does not match level ", l);
-    std::vector<int> fine(map.size());
-    for (std::size_t v = 0; v < map.size(); ++v) {
-      fine[v] = parts[static_cast<std::size_t>(map[v])];
-    }
-    parts = std::move(fine);
-  }
+  for (std::size_t l = levels; l-- > 0;) parts = project_level(chain[l], parts);
   return parts;
 }
 
@@ -109,12 +99,7 @@ std::vector<double> prolong_to_finest(const std::vector<CoarseLevel>& chain,
   FFP_CHECK(levels <= chain.size(), "levels out of range");
   std::vector<double> values(coarse_values.begin(), coarse_values.end());
   for (std::size_t l = levels; l-- > 0;) {
-    const auto& map = chain[l].fine_to_coarse;
-    std::vector<double> fine(map.size());
-    for (std::size_t v = 0; v < map.size(); ++v) {
-      fine[v] = values[static_cast<std::size_t>(map[v])];
-    }
-    values = std::move(fine);
+    values = project_level(chain[l], values);
   }
   return values;
 }

@@ -9,6 +9,7 @@
 
 #include "graph/graph.hpp"
 #include "multilevel/matching.hpp"
+#include "util/check.hpp"
 
 namespace ffp {
 
@@ -35,6 +36,24 @@ struct CoarsenOptions {
 /// contracts levels[i-1].coarse. May be empty if g is already small.
 std::vector<CoarseLevel> coarsen_chain(const Graph& g,
                                        const CoarsenOptions& options);
+
+/// One level's projection: every fine vertex of `level` takes the value
+/// of its coarse image — part ids, or piecewise-constant interpolation of
+/// a vector. The one `fine_to_coarse` walk every multilevel scheme uses.
+template <typename T>
+std::vector<T> project_level(const CoarseLevel& level,
+                             const std::vector<T>& coarse) {
+  FFP_CHECK(coarse.size() ==
+                static_cast<std::size_t>(level.coarse.num_vertices()),
+            "projection input has ", coarse.size(), " entries, level has ",
+            level.coarse.num_vertices(), " coarse vertices");
+  const auto& map = level.fine_to_coarse;
+  std::vector<T> fine(map.size());
+  for (std::size_t v = 0; v < map.size(); ++v) {
+    fine[v] = coarse[static_cast<std::size_t>(map[v])];
+  }
+  return fine;
+}
 
 /// Projects a per-coarse-vertex part assignment back to the finest level
 /// through a chain prefix [0, levels): every fine vertex inherits the part

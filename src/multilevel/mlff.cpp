@@ -135,16 +135,7 @@ MlffResult mlff_partition(const Graph& g, int k, const MlffOptions& options,
   // input-graph assignment (no refinement — checkpoints trade polish for
   // immediacy; the refined version lands with the final emit).
   const auto project_to_fine = [&chain](const std::vector<int>& at_coarse) {
-    std::vector<int> cur = at_coarse;
-    for (std::size_t l = chain.size(); l-- > 0;) {
-      const auto& map = chain[l].fine_to_coarse;
-      std::vector<int> fine(map.size());
-      for (std::size_t v = 0; v < map.size(); ++v) {
-        fine[v] = cur[static_cast<std::size_t>(map[v])];
-      }
-      cur = std::move(fine);
-    }
-    return cur;
+    return project_partition(chain, chain.size(), at_coarse);
   };
 
   // Warm start: project the restored input-graph assignment DOWN the
@@ -227,12 +218,7 @@ MlffResult mlff_partition(const Graph& g, int k, const MlffOptions& options,
   std::int64_t level_budget = options.refine_steps;
   for (std::size_t l = chain.size(); l-- > 0;) {
     const Graph& fine_g = l == 0 ? g : chain[l - 1].coarse;
-    const auto& map = chain[l].fine_to_coarse;
-    std::vector<int> fine(map.size());
-    for (std::size_t v = 0; v < map.size(); ++v) {
-      fine[v] = parts[static_cast<std::size_t>(map[v])];
-    }
-    parts = std::move(fine);
+    parts = project_level(chain[l], parts);
 
     const std::uint64_t level_seed = splitmix64(stream);
     if (level_budget > 0) {

@@ -138,13 +138,9 @@ std::vector<int> multilevel_bisect(const Graph& g, double target_fraction,
 
   // Project through the chain with per-level FM refinement.
   for (std::size_t lvl = chain.size(); lvl-- > 0;) {
-    const auto& map = chain[lvl].fine_to_coarse;
-    std::vector<int> fine(map.size());
-    for (std::size_t v = 0; v < map.size(); ++v) {
-      fine[v] = side[static_cast<std::size_t>(map[v])];
-    }
     const Graph& fine_graph = lvl == 0 ? g : chain[lvl - 1].coarse;
-    auto p = Partition::from_assignment(fine_graph, fine, 2);
+    auto p = Partition::from_assignment(fine_graph,
+                                        project_level(chain[lvl], side), 2);
     fm_refine_bisection(p, 0, 1, fm);
     side.assign(p.assignment().begin(), p.assignment().end());
   }
@@ -225,13 +221,9 @@ void divide(const Graph& parent, std::vector<VertexId> vertices, int k,
   }
   std::vector<int> current = std::move(cells);
   for (std::size_t lvl = chain.size(); lvl-- > 0;) {
-    const auto& map = chain[lvl].fine_to_coarse;
-    std::vector<int> fine(map.size());
-    for (std::size_t v = 0; v < map.size(); ++v) {
-      fine[v] = current[static_cast<std::size_t>(map[v])];
-    }
     const Graph& fine_graph = lvl == 0 ? sub.graph : chain[lvl - 1].coarse;
-    auto p = Partition::from_assignment(fine_graph, fine, ways);
+    auto p = Partition::from_assignment(
+        fine_graph, project_level(chain[lvl], current), ways);
     KwayFmOptions kopt;
     kopt.max_imbalance = options.max_imbalance;
     kway_fm_refine(p, objective(ObjectiveKind::Cut), kopt, rng);

@@ -6,7 +6,7 @@
 //   Mcut(P) = Σ_A cut(A, V−A) / W(A)
 //
 // W(A) sums ordered internal pairs (each internal edge twice), which makes
-// assoc(A,V) equal vol(A) — see DESIGN.md §5.1. Empty parts contribute 0.
+// assoc(A,V) equal vol(A). Empty parts contribute 0.
 // A part with cut > 0 but W(A) = 0 (e.g. a singleton) would make Mcut
 // infinite; we return a large finite penalty instead so that annealing-style
 // acceptance rules keep working. All objectives are lower-is-better.

@@ -58,6 +58,30 @@ std::string frame(std::string_view payload) {
   return f;
 }
 
+// Failures of the environment or of a file's content throw plain errors
+// that name the file and the reason, never check internals: the paths are
+// often the user's own (`ffp_part --out`, a daemon's --state-dir).
+[[noreturn]] void io_failed(const char* call, const std::string& path,
+                            int err) {
+  throw Error(std::string("persist: ") + call + "('" + path +
+              "') failed: " + std::strerror(err));
+}
+
+/// Throws unless `head` starts a record file of `version`; `verb` says
+/// whether this build "reads" or "writes" it.
+void check_header(const char* head, const std::string& path,
+                  std::uint32_t version, const char* verb) {
+  if (std::memcmp(head, kMagic, sizeof(kMagic)) != 0) {
+    throw Error("persist: '" + path + "' is not a record file (bad magic)");
+  }
+  const std::uint32_t found = get_le32(head + sizeof(kMagic));
+  if (found != version) {
+    throw Error("persist: '" + path + "' has format version " +
+                std::to_string(found) + ", this build " + verb +
+                " version " + std::to_string(version));
+  }
+}
+
 std::string dir_of(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   if (slash == std::string::npos) return ".";
@@ -71,16 +95,14 @@ void write_all(int fd, std::string_view data, const std::string& path) {
     const ssize_t n = ::write(fd, data.data() + done, data.size() - done);
     if (n < 0) {
       if (errno == EINTR) continue;
-      FFP_CHECK(false, "persist: write('", path,
-                "') failed: ", std::strerror(errno));
+      io_failed("write", path, errno);
     }
     done += static_cast<std::size_t>(n);
   }
 }
 
 void fsync_or_throw(int fd, const std::string& path) {
-  FFP_CHECK(::fsync(fd) == 0, "persist: fsync('", path,
-            "') failed: ", std::strerror(errno));
+  if (::fsync(fd) != 0) io_failed("fsync", path, errno);
 }
 
 void fsync_dir(const std::string& dir) {
@@ -140,8 +162,7 @@ std::optional<std::string> read_file(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     if (errno == ENOENT) return std::nullopt;
-    FFP_CHECK(false, "persist: open('", path,
-              "') failed: ", std::strerror(errno));
+    io_failed("open", path, errno);
   }
   std::string out;
   char buf[1 << 16];
@@ -151,8 +172,7 @@ std::optional<std::string> read_file(const std::string& path) {
       if (errno == EINTR) continue;
       const int err = errno;
       ::close(fd);
-      FFP_CHECK(false, "persist: read('", path,
-                "') failed: ", std::strerror(err));
+      io_failed("read", path, err);
     }
     if (n == 0) break;
     out.append(buf, static_cast<std::size_t>(n));
@@ -185,8 +205,7 @@ void atomic_write_file(const std::string& path, std::string_view contents) {
     // reject it (CRC framing) or see a torn file (plain files).
     const int fd =
         ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0666);
-    FFP_CHECK(fd >= 0, "persist: open('", path,
-              "') failed: ", std::strerror(errno));
+    if (fd < 0) io_failed("open", path, errno);
     write_all(fd, contents.substr(0, contents.size() / 2), path);
     ::close(fd);
     return;
@@ -196,16 +215,15 @@ void atomic_write_file(const std::string& path, std::string_view contents) {
   const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
                           std::to_string(counter.fetch_add(1));
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0666);
-  FFP_CHECK(fd >= 0, "persist: open('", tmp,
-            "') failed: ", std::strerror(errno));
+  if (fd < 0) io_failed("open", tmp, errno);
   write_all(fd, contents, tmp);
   fsync_or_throw(fd, tmp);
   ::close(fd);
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     const int err = errno;
     ::unlink(tmp.c_str());
-    FFP_CHECK(false, "persist: rename('", tmp, "' -> '", path,
-              "') failed: ", std::strerror(err));
+    throw Error("persist: rename('" + tmp + "' -> '" + path +
+                "') failed: " + std::strerror(err));
   }
   fsync_dir(dir_of(path));
 }
@@ -213,30 +231,24 @@ void atomic_write_file(const std::string& path, std::string_view contents) {
 RecordWriter::RecordWriter(const std::string& path, std::uint32_t version)
     : path_(path) {
   fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0666);
-  FFP_CHECK(fd_ >= 0, "persist: open('", path,
-            "') failed: ", std::strerror(errno));
+  if (fd_ < 0) io_failed("open", path, errno);
   struct stat st{};
-  FFP_CHECK(::fstat(fd_, &st) == 0, "persist: fstat('", path,
-            "') failed: ", std::strerror(errno));
+  if (::fstat(fd_, &st) != 0) io_failed("fstat", path, errno);
   if (static_cast<std::size_t>(st.st_size) < kHeaderBytes) {
     // Empty (fresh create) or a header torn by a crash before its fsync:
     // neither can hold a record, so start the file over.
-    FFP_CHECK(::ftruncate(fd_, 0) == 0, "persist: ftruncate('", path,
-              "') failed: ", std::strerror(errno));
+    if (::ftruncate(fd_, 0) != 0) io_failed("ftruncate", path, errno);
     write_all(fd_, header_bytes(version), path);
     fsync_or_throw(fd_, path);
     fsync_dir(dir_of(path));
     return;
   }
   char head[kHeaderBytes];
-  FFP_CHECK(::pread(fd_, head, kHeaderBytes, 0) ==
-                static_cast<ssize_t>(kHeaderBytes),
-            "persist: pread('", path, "') failed: ", std::strerror(errno));
-  FFP_CHECK(std::memcmp(head, kMagic, sizeof(kMagic)) == 0, "persist: '",
-            path, "' is not a record file (bad magic)");
-  const std::uint32_t found = get_le32(head + sizeof(kMagic));
-  FFP_CHECK(found == version, "persist: '", path, "' has format version ",
-            found, ", this build writes version ", version);
+  if (::pread(fd_, head, kHeaderBytes, 0) !=
+      static_cast<ssize_t>(kHeaderBytes)) {
+    io_failed("pread", path, errno);
+  }
+  check_header(head, path, version, "writes");
 }
 
 RecordWriter::~RecordWriter() {
@@ -258,12 +270,7 @@ RecordReadResult read_records(const std::string& path,
     out.truncated = true;  // crash between create and header fsync
     return out;
   }
-  FFP_CHECK(std::memcmp(data.data(), kMagic, sizeof(kMagic)) == 0,
-            "persist: '", path, "' is not a record file (bad magic)");
-  const std::uint32_t found = get_le32(data.data() + sizeof(kMagic));
-  FFP_CHECK(found == expected_version, "persist: '", path,
-            "' has format version ", found, ", this build reads version ",
-            expected_version);
+  check_header(data.data(), path, expected_version, "reads");
   std::size_t pos = kHeaderBytes;
   while (pos + 8 <= data.size()) {
     const std::uint32_t len = get_le32(data.data() + pos);

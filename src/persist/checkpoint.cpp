@@ -39,11 +39,13 @@ std::optional<Checkpoint> load_checkpoint(const std::string& path) {
     PartitionRecord record =
         decode_partition_record(raw.records.front(), {"k", "value"});
     if (record.parts.empty()) return std::nullopt;
-    return Checkpoint{
-        static_cast<int>(record.integer("k", 1, INT_MAX)),
-        record.real("value"), std::move(record.parts)};
+    const int k = static_cast<int>(record.integer("k", 1, INT_MAX));
+    record.check_parts(k);
+    return Checkpoint{k, record.real("value"), std::move(record.parts)};
   } catch (const Error&) {
-    return std::nullopt;  // bad magic, foreign version or damage: start cold
+    // Bad magic, foreign version, damage or a part id outside [0, k):
+    // start cold.
+    return std::nullopt;
   }
 }
 

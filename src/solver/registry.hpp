@@ -4,11 +4,12 @@
 //   "fusion_fission"                          — defaults
 //   "spectral:engine=rqi,arity=oct,kl=true"   — key=value options
 //
-// Factories read options through `SolverOptions`, which tracks which keys
-// were consumed; `create()` rejects specs with unknown keys (typos fail
-// loudly instead of silently running defaults). The builtin registry covers
-// every algorithm family in the repo; `table1_methods()` (benchlib) and the
-// `ffp_part` tool are both built on top of it.
+// Each built-in family is one registry entry (registry.cpp): its help line,
+// its flags, and a parse step that reads its options through
+// `SolverOptions` and returns its run. `resolve()` is the one call that
+// turns a spec into a solver; it rejects unknown keys (typos fail loudly
+// instead of silently running defaults). `table1_methods()` (benchlib),
+// `api::SolveSpec` and the `ffp_part` tool are all built on top of it.
 #pragma once
 
 #include <functional>
@@ -67,24 +68,27 @@ class SolverOptions {
   std::vector<std::string> unread_keys() const;
 
   /// The options re-emitted as `key=value,key=value` with keys sorted and
-  /// whitespace gone — the canonical text canonical_spec() builds on.
+  /// whitespace gone — the canonical text resolve() builds on.
   std::string canonical_text() const;
-
-  /// Forgets which keys were read (the registry calls this before handing
-  /// the options to a factory, so reuse across create() calls is safe).
-  void reset_consumption() const { read_.clear(); }
 
  private:
   std::map<std::string, std::string> values_;
   mutable std::set<std::string> read_;
 };
 
+/// A method spec resolved: the validated solver and its canonical text.
+struct ResolvedSolver {
+  SolverPtr solver;
+  /// `name` or `name:key=value,...` with keys sorted and whitespace
+  /// stripped, so `fusion_fission nbt=800` and `fusion_fission: nbt=800 ,`
+  /// resolve and cache identically.
+  std::string canonical;
+};
+
 class SolverRegistry {
  public:
-  using Factory = std::function<SolverPtr(const SolverOptions&)>;
-
-  /// Registers a factory. Throws on duplicate names.
-  void add(std::string name, std::string help, Factory factory);
+  /// The process-wide registry with every built-in solver family.
+  static const SolverRegistry& builtin();
 
   bool contains(std::string_view name) const;
   /// Registered names, sorted.
@@ -92,43 +96,45 @@ class SolverRegistry {
   /// One-line description for a registered name (throws if unknown).
   const std::string& help(std::string_view name) const;
 
-  /// Builds a solver by name. Throws ffp::Error on unknown names (listing
-  /// what is available) and on unknown option keys.
-  SolverPtr create(std::string_view name,
-                   const SolverOptions& options = {}) const;
+  /// THE one place a spec becomes a solver: `name` or
+  /// `name:key=value,key=value` (a whitespace separator is accepted in
+  /// place of the colon when the tail contains key=value pairs). Validates
+  /// the spec end to end: malformed or duplicate options, unknown names
+  /// (listing what is available), unknown option keys and bad values all
+  /// throw ffp::Error.
+  ResolvedSolver resolve(std::string_view spec) const;
 
-  /// Builds from a full spec: `name` or `name:key=value,key=value` (a
-  /// whitespace separator is accepted in place of the colon when the tail
-  /// contains key=value pairs).
-  SolverPtr create_from_spec(std::string_view spec) const;
-
-  /// Splits a spec into {name, options text}. Shared by create_from_spec
-  /// and canonical_spec so the two can never disagree on the grammar.
+  /// Splits a spec into {name, options text}.
   static std::pair<std::string_view, std::string_view> split_spec(
       std::string_view spec);
 
-  /// Re-emits already-parsed spec pieces in canonical form (`name` or
-  /// `name:key=value,...`, keys sorted). The single normalization emitter
-  /// behind canonical_spec() AND api::SolveSpec::resolve() — callers must
-  /// have validated the pieces (create()) first.
-  static std::string canonical_join(std::string_view name,
-                                    const SolverOptions& options);
-
-  /// THE one place spec strings are normalized: validates the spec end to
-  /// end (unknown names, unknown/duplicate keys, and bad values all throw)
-  /// and returns `name` or `name:key=value,...` with keys sorted and
-  /// whitespace stripped — so `fusion_fission nbt=800` and
-  /// `fusion_fission: nbt=800 ,` resolve and cache identically.
-  std::string canonical_spec(std::string_view spec) const;
-
-  /// The process-wide registry with every built-in solver registered.
-  static const SolverRegistry& builtin();
-
  private:
-  std::map<std::string, std::pair<std::string, Factory>, std::less<>> entries_;
+  /// A family's run, as its entry builds it from the options. It returns
+  /// the partition, and for a metaheuristic its value and counters too;
+  /// `stop` is the request's, already armed.
+  using Run = std::function<SolverResult(
+      const Graph& g, const SolverRequest& request, const StopCondition& stop)>;
+
+  /// One solver family: all the registry knows about it.
+  struct Family {
+    std::string help;
+    /// True for budgeted, objective-aware families; a direct family's
+    /// partition is evaluated under the requested objective after its run.
+    bool metaheuristic;
+    EvolveSupport evolve;
+    /// Reads the family's options (throwing on bad values) into its run.
+    Run (*parse)(const SolverOptions& options);
+  };
+
+  /// The one Solver every family runs through (registry.cpp).
+  class FamilySolver;
+
+  SolverRegistry();  ///< registers the built-in families
+
+  std::map<std::string, Family, std::less<>> entries_;
 };
 
-/// Convenience: `builtin().create_from_spec(spec)`.
+/// Convenience: `builtin().resolve(spec).solver`.
 SolverPtr make_solver(std::string_view spec);
 
 }  // namespace ffp

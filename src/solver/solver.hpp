@@ -11,8 +11,10 @@
 // `best_value` is always the requested objective evaluated on the returned
 // partition, which is what lets a portfolio compare its restarts.
 //
-// Construction by name + options lives in solver/registry.hpp; parallel
-// multi-start composition lives in solver/portfolio.hpp.
+// This header is the interface only. Each family's options, run and flags
+// live in its one registry entry (solver/registry.cpp), the only place
+// that includes the algorithms; parallel multi-start composition lives in
+// solver/portfolio.hpp.
 #pragma once
 
 #include <memory>
@@ -21,18 +23,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/fusion_fission.hpp"
 #include "graph/graph.hpp"
-#include "metaheuristics/annealing.hpp"
-#include "metaheuristics/ant_colony.hpp"
 #include "metaheuristics/anytime.hpp"
-#include "metaheuristics/percolation.hpp"
-#include "multilevel/mlff.hpp"
-#include "multilevel/multilevel.hpp"
 #include "partition/objectives.hpp"
 #include "partition/partition.hpp"
-#include "spectral/linear_partition.hpp"
-#include "spectral/spectral_partition.hpp"
 #include "util/timer.hpp"
 
 namespace ffp {
@@ -41,9 +35,9 @@ class ThreadBudget;  // service/thread_budget.hpp
 
 /// Everything a solver needs for one run. api::Engine builds it once per
 /// job (a JobSpec carries it) and the portfolio copies it per restart.
-/// The stop condition is re-armed (copied and restarted) by each solver at
-/// the top of run(), so a request can be built ahead of time and reused
-/// across restarts.
+/// The stop condition is re-armed (copied and restarted) at the top of
+/// every run(), so a request can be built ahead of time and reused across
+/// restarts.
 struct SolverRequest {
   int k = 2;
   ObjectiveKind objective = ObjectiveKind::MinMaxCut;
@@ -100,122 +94,5 @@ class Solver {
 };
 
 using SolverPtr = std::shared_ptr<const Solver>;
-
-// --------------------------------------------------------------------------
-// Adapters. Each wraps one algorithm with its native options struct; the
-// request's objective and seed always override the corresponding fields of
-// the base options, so a solver instance is reusable across runs and seeds.
-// --------------------------------------------------------------------------
-
-/// The paper's contribution (§4). Metaheuristic.
-class FusionFissionSolver final : public Solver {
- public:
-  explicit FusionFissionSolver(FusionFissionOptions base = {})
-      : base_(std::move(base)) {}
-  std::string name() const override { return "fusion_fission"; }
-  bool is_metaheuristic() const override { return true; }
-  EvolveSupport evolve_support() const override {
-    return EvolveSupport::Crossover;
-  }
-  SolverResult run(const Graph& g, const SolverRequest& request) const override;
-
- private:
-  FusionFissionOptions base_;
-};
-
-/// Multilevel × fusion-fission hybrid (multilevel/mlff.hpp) — fusion-
-/// fission run on a coarsened graph, projected back with boundary
-/// refinement bursts. Metaheuristic: the stop condition governs the
-/// coarse-level search.
-class MlffSolver final : public Solver {
- public:
-  explicit MlffSolver(MlffOptions base = {}) : base_(std::move(base)) {}
-  std::string name() const override { return "mlff"; }
-  bool is_metaheuristic() const override { return true; }
-  /// The incumbent is only a post-hoc guard here, so no crossover.
-  EvolveSupport evolve_support() const override {
-    return EvolveSupport::MutateOnly;
-  }
-  SolverResult run(const Graph& g, const SolverRequest& request) const override;
-
- private:
-  MlffOptions base_;
-};
-
-/// Simulated annealing (§3.1), seeded from percolation as in the paper.
-class AnnealingSolver final : public Solver {
- public:
-  explicit AnnealingSolver(AnnealingOptions base = {}) : base_(std::move(base)) {}
-  std::string name() const override { return "annealing"; }
-  bool is_metaheuristic() const override { return true; }
-  SolverResult run(const Graph& g, const SolverRequest& request) const override;
-
- private:
-  AnnealingOptions base_;
-};
-
-/// Competing ant colonies (§3.2), seeded from percolation as in the paper.
-class AntColonySolver final : public Solver {
- public:
-  explicit AntColonySolver(AntColonyOptions base = {}) : base_(std::move(base)) {}
-  std::string name() const override { return "ant_colony"; }
-  bool is_metaheuristic() const override { return true; }
-  SolverResult run(const Graph& g, const SolverRequest& request) const override;
-
- private:
-  AntColonyOptions base_;
-};
-
-/// Multilevel partitioning (§2.2). Direct.
-class MultilevelSolver final : public Solver {
- public:
-  explicit MultilevelSolver(MultilevelOptions base = {}) : base_(std::move(base)) {}
-  std::string name() const override { return "multilevel"; }
-  bool is_metaheuristic() const override { return false; }
-  SolverResult run(const Graph& g, const SolverRequest& request) const override;
-
- private:
-  MultilevelOptions base_;
-};
-
-/// Recursive spectral partitioning (§2.1). Direct. `final_kway_refine`
-/// applies the Chaco REFINE_PARTITION analog after the recursion, exactly
-/// as the Table-1 protocol does.
-class SpectralSolver final : public Solver {
- public:
-  explicit SpectralSolver(SpectralOptions base = {}, bool final_kway_refine = true)
-      : base_(std::move(base)), final_kway_refine_(final_kway_refine) {}
-  std::string name() const override { return "spectral"; }
-  bool is_metaheuristic() const override { return false; }
-  SolverResult run(const Graph& g, const SolverRequest& request) const override;
-
- private:
-  SpectralOptions base_;
-  bool final_kway_refine_;
-};
-
-/// Chaco's linear scheme, plain or KL-recursive. Direct.
-class LinearSolver final : public Solver {
- public:
-  explicit LinearSolver(LinearOptions base = {}) : base_(base) {}
-  std::string name() const override { return "linear"; }
-  bool is_metaheuristic() const override { return false; }
-  SolverResult run(const Graph& g, const SolverRequest& request) const override;
-
- private:
-  LinearOptions base_;
-};
-
-/// Standalone percolation partitioning (§4.4). Direct.
-class PercolationSolver final : public Solver {
- public:
-  explicit PercolationSolver(PercolationOptions base = {}) : base_(base) {}
-  std::string name() const override { return "percolation"; }
-  bool is_metaheuristic() const override { return false; }
-  SolverResult run(const Graph& g, const SolverRequest& request) const override;
-
- private:
-  PercolationOptions base_;
-};
 
 }  // namespace ffp

@@ -73,7 +73,6 @@ FiedlerResult solve_multilevel_rqi(const Graph& g,
   out.converged = true;
   std::vector<std::vector<double>> vectors = std::move(current.vectors);
   for (std::size_t lvl = chain.size(); lvl-- > 0;) {
-    const auto& map = chain[lvl].fine_to_coarse;
     const Graph& fine_graph = lvl == 0 ? g : chain[lvl - 1].coarse;
     const auto op = make_operator(fine_graph, options.problem);
 
@@ -83,10 +82,7 @@ FiedlerResult solve_multilevel_rqi(const Graph& g,
     const bool finest = lvl == 0;
     for (std::size_t i = 0; i < vectors.size(); ++i) {
       // One-level piecewise-constant prolongation.
-      std::vector<double> fine(map.size());
-      for (std::size_t v = 0; v < map.size(); ++v) {
-        fine[v] = vectors[i][static_cast<std::size_t>(map[v])];
-      }
+      const std::vector<double> fine = project_level(chain[lvl], vectors[i]);
       RqiOptions ropt;
       ropt.tolerance = options.tolerance;
       ropt.solver_tolerance = std::max(options.tolerance * 0.1, 1e-9);

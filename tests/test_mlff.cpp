@@ -158,14 +158,15 @@ TEST(Mlff, SmallGraphSkipsCoarsening) {
 TEST(Mlff, RegisteredInRegistryAndSpecRoundTrips) {
   const auto& reg = SolverRegistry::builtin();
   ASSERT_TRUE(reg.contains("mlff"));
-  const auto solver = reg.create_from_spec(
-      "mlff:coarse_n=128,refine_steps=1000,matching=random");
+  const auto solver =
+      reg.resolve("mlff:coarse_n=128,refine_steps=1000,matching=random")
+          .solver;
   EXPECT_EQ(solver->name(), "mlff");
   EXPECT_TRUE(solver->is_metaheuristic());
-  EXPECT_THROW(reg.create_from_spec("mlff:bogus=1"), Error);
-  EXPECT_THROW(reg.create_from_spec("mlff:threads=2"), Error);
+  EXPECT_THROW(reg.resolve("mlff:bogus=1"), Error);
+  EXPECT_THROW(reg.resolve("mlff:threads=2"), Error);
   // Canonicalization sorts and validates the full option set.
-  EXPECT_EQ(reg.canonical_spec("mlff: refine_steps=1000 , coarse_n=128"),
+  EXPECT_EQ(reg.resolve("mlff: refine_steps=1000 , coarse_n=128").canonical,
             "mlff:coarse_n=128,refine_steps=1000");
 }
 

@@ -363,6 +363,96 @@ TEST(RecordBytes, CacheEntryIsPinned) {
   EXPECT_EQ(body.substr(nl + 1), "0\n0\n1\n1\n");
 }
 
+// ---------------------------------------------- part ids bounded by k ----
+//
+// A CRC-valid record whose part id is 5000000 for a 4-vertex graph: bounded
+// only by INT_MAX, it would size a 5000001-part Partition. Each owner checks
+// the ids against its own k and applies its damage policy.
+
+void clear_dir(const std::string& dir) {
+  for (const std::string& name : persist::list_dir(dir)) {
+    persist::remove_file(dir + "/" + name);
+  }
+}
+
+TEST(PartIdBound, CheckpointReadsAsNone) {
+  const std::string path = tmp_path("part_id_checkpoint.rec");
+  const auto write = [&](int last) {
+    persist::write_records_atomic(
+        path, persist::kCheckpointVersion,
+        {encode_partition_record({{"k", "2"}, {"value", "1"}},
+                                 {{0, 0, 1, last}})});
+  };
+  write(1);
+  ASSERT_TRUE(persist::load_checkpoint(path).has_value());
+  for (const int last : {2, 5000000}) {
+    write(last);
+    EXPECT_FALSE(persist::load_checkpoint(path).has_value()) << last;
+  }
+}
+
+TEST(PartIdBound, PopulationFileIsDeleted) {
+  const std::string dir = tmp_path("part_id_population");
+  clear_dir(dir);
+  persist::ensure_dir(dir);
+  const std::string path =
+      persist::keyed_record_path(dir, "pop", 0x0123456789abcdefull, "k=2");
+  const auto write = [&](int last) {
+    persist::write_records_atomic(
+        path, 1,
+        {encode_partition_record({{"digest", "0123456789abcdef"},
+                                  {"k", "2"},
+                                  {"objective", "cut"}}),
+         encode_partition_record({{"value", "1"}, {"stamp", "1"}},
+                                 {{0, 0, 1, last}})});
+  };
+  write(1);
+  {
+    evolve::EliteArchive archive(evolve::ArchiveOptions{8, dir});
+    ASSERT_EQ(archive.counters().populations, 1);
+  }
+  write(5000000);
+  {
+    evolve::EliteArchive archive(evolve::ArchiveOptions{8, dir});
+    EXPECT_EQ(archive.counters().populations, 0);
+  }
+  EXPECT_FALSE(persist::file_exists(path));
+}
+
+TEST(PartIdBound, CacheEntryIsDeleted) {
+  const std::string dir = tmp_path("part_id_cache_entry");
+  clear_dir(dir + "/cache");
+  persist::remove_file(dir + "/journal.rec");
+  persist::ensure_dir(dir + "/cache");
+  // The key and name RecordBytes.CacheEntryIsPinned pins for grid2d:4,1.
+  const std::string path = dir + "/cache/e-31c9f3cd988f318a.rec";
+  const auto write = [&](int last) {
+    persist::write_records_atomic(
+        path, 1,
+        {encode_partition_record(
+            {{"key",
+              "gdd136b1d6de2a346|linear|k=2|obj=Mcut|seed=1|steps=10|"
+              "restarts=1"},
+             {"graph", "grid2d:4,1"},
+             {"value", "1"},
+             {"seconds", "0"}},
+            {{0, 0, 1, last}})});
+  };
+  api::EngineOptions options;
+  options.state_dir = dir;
+  write(1);
+  {
+    api::Engine engine(options);
+    ASSERT_EQ(engine.cache_counters().entries, 1);
+  }
+  write(5000000);
+  {
+    api::Engine engine(options);
+    EXPECT_EQ(engine.cache_counters().entries, 0);
+  }
+  EXPECT_FALSE(persist::file_exists(path));
+}
+
 // ------------------------------------------------- seeded mutation ----
 //
 // Every record body and the journal, mutated by byte flips, truncation,

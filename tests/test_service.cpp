@@ -174,6 +174,12 @@ TEST(ServiceSession, FilePolicyAndFileSubmissions) {
   missing.feed(
       R"({"op":"submit","id":"f","graph_file":"/nonexistent.graph","k":2})");
   EXPECT_EQ(missing.last_event(), "error");
+  // The client reads the path, not the server's check expression or build
+  // paths.
+  const std::string message = missing.last_message();
+  EXPECT_NE(message.find("/nonexistent.graph"), std::string::npos) << message;
+  EXPECT_EQ(message.find("FFP_CHECK"), std::string::npos) << message;
+  EXPECT_EQ(message.find(".cpp:"), std::string::npos) << message;
   std::remove(path.c_str());
 }
 

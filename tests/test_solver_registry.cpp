@@ -98,20 +98,18 @@ TEST(Registry, UnknownOptionKeyThrows) {
   EXPECT_THROW(make_solver("linear:typo=2"), Error);
 }
 
-TEST(Registry, UnknownKeyDetectionSurvivesOptionsReuse) {
-  // 'cooling' is an annealing option; trying the same SolverOptions against
-  // fusion_fission afterwards must still reject it.
-  const auto o = SolverOptions::parse("cooling=0.9");
-  const auto& reg = SolverRegistry::builtin();
-  EXPECT_NO_THROW(reg.create("annealing", o));
-  EXPECT_THROW(reg.create("fusion_fission", o), Error);
-  EXPECT_NO_THROW(reg.create("annealing", o));
-}
-
 TEST(Registry, LinearRejectsUnsupportedArity) {
   EXPECT_THROW(make_solver("linear:arity=3"), Error);
   EXPECT_THROW(make_solver("linear:arity=0,kl=true"), Error);
   EXPECT_NO_THROW(make_solver("linear:arity=4,kl=true"));
+}
+
+TEST(Registry, HelpNamesWhatTheEntryReads) {
+  const auto& reg = SolverRegistry::builtin();
+  EXPECT_NE(reg.help("fusion_fission").find("choice_term_bias"),
+            std::string::npos);
+  EXPECT_NE(reg.help("linear").find("arity=2|4|8"), std::string::npos);
+  EXPECT_NO_THROW(make_solver("fusion_fission:choice_term_bias=0.5"));
 }
 
 TEST(Registry, BadEnumValueThrowsListingChoices) {
@@ -203,32 +201,33 @@ TEST(Registry, MethodRowAndRawSpecAgree) {
                          via_registry.best.assignment().begin()));
 }
 
+std::string canonical(std::string_view spec) {
+  return SolverRegistry::builtin().resolve(spec).canonical;
+}
+
 TEST(Registry, CanonicalSpecNormalizesEquivalentForms) {
-  const auto& reg = SolverRegistry::builtin();
-  EXPECT_EQ(reg.canonical_spec("fusion_fission"), "fusion_fission");
-  EXPECT_EQ(reg.canonical_spec("  fusion_fission  "), "fusion_fission");
-  EXPECT_EQ(reg.canonical_spec("fusion_fission:"), "fusion_fission");
+  EXPECT_EQ(canonical("fusion_fission"), "fusion_fission");
+  EXPECT_EQ(canonical("  fusion_fission  "), "fusion_fission");
+  EXPECT_EQ(canonical("fusion_fission:"), "fusion_fission");
   // Key order, cosmetic whitespace, trailing commas, and the whitespace
   // name/options separator all collapse to one canonical string.
-  const std::string canonical = "fusion_fission:nbt=800,tmax=2";
-  EXPECT_EQ(reg.canonical_spec("fusion_fission:tmax=2,nbt=800"), canonical);
-  EXPECT_EQ(reg.canonical_spec("fusion_fission: nbt=800 , tmax=2 ,"),
-            canonical);
-  EXPECT_EQ(reg.canonical_spec("fusion_fission tmax=2 nbt=800"), canonical);
-  EXPECT_EQ(reg.canonical_spec("spectral:kl=true,engine=rqi"),
+  const std::string expected = "fusion_fission:nbt=800,tmax=2";
+  EXPECT_EQ(canonical("fusion_fission:tmax=2,nbt=800"), expected);
+  EXPECT_EQ(canonical("fusion_fission: nbt=800 , tmax=2 ,"), expected);
+  EXPECT_EQ(canonical("fusion_fission tmax=2 nbt=800"), expected);
+  EXPECT_EQ(canonical("spectral:kl=true,engine=rqi"),
             "spectral:engine=rqi,kl=true");
 }
 
 TEST(Registry, CanonicalSpecValidatesEndToEnd) {
-  const auto& reg = SolverRegistry::builtin();
-  EXPECT_THROW(reg.canonical_spec("no_such_solver"), Error);
-  EXPECT_THROW(reg.canonical_spec("fusion_fission:bogus_key=1"), Error);
-  EXPECT_THROW(reg.canonical_spec("fusion_fission:threads=2"), Error);
-  EXPECT_THROW(reg.canonical_spec("fusion_fission:batch=16"), Error);
-  EXPECT_THROW(reg.canonical_spec("fusion_fission:nbt=1,nbt=2"), Error);
-  EXPECT_THROW(reg.canonical_spec("spectral:engine=warp"), Error);  // bad value
+  EXPECT_THROW(canonical("no_such_solver"), Error);
+  EXPECT_THROW(canonical("fusion_fission:bogus_key=1"), Error);
+  EXPECT_THROW(canonical("fusion_fission:threads=2"), Error);
+  EXPECT_THROW(canonical("fusion_fission:batch=16"), Error);
+  EXPECT_THROW(canonical("fusion_fission:nbt=1,nbt=2"), Error);
+  EXPECT_THROW(canonical("spectral:engine=warp"), Error);  // bad value
   // A multi-word non-spec stays one (unknown) name, not a key=value error.
-  EXPECT_THROW(reg.canonical_spec("Fusion Fission"), Error);
+  EXPECT_THROW(canonical("Fusion Fission"), Error);
 }
 
 TEST(Registry, WhitespaceSpecFormResolves) {
