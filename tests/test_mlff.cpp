@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "graph/generators.hpp"
 #include "solver/registry.hpp"
 #include "test_support.hpp"
+#include "util/fnv.hpp"
 
 namespace ffp {
 namespace {
@@ -184,6 +186,25 @@ TEST(Mlff, SolverRunHonorsRequest) {
               res.best_value, 1e-9);
   EXPECT_GT(res.stat("levels"), 0.0);
   EXPECT_GT(res.stat("steps"), 0.0);
+}
+
+TEST(Mlff, PartitionBytesArePinned) {
+  // The whole pipeline's bytes: the assignment and the bits of its value.
+  // The weighted grid's coarse levels carry real-valued sums; the unit
+  // grid's carry small integer weights with many equal flow distances.
+  const auto digest = [](const Graph& g) {
+    MlffOptions opt;
+    opt.seed = 17;
+    const auto res = mlff_partition(g, 8, opt, StopCondition::after_steps(2000));
+    std::uint64_t h = kFnvBasisShort;
+    for (const int p : res.best.assignment()) {
+      h = fnv1a_word(static_cast<std::uint64_t>(p), h);
+    }
+    return fnv1a_word(std::bit_cast<std::uint64_t>(res.best_value), h);
+  };
+  EXPECT_EQ(digest(with_random_weights(make_grid2d(48, 48), 1.0, 10.0, 4)),
+            0x085f38a2d9724907ull);
+  EXPECT_EQ(digest(make_grid2d(64, 64)), 0x44941e74e06a7806ull);
 }
 
 // ------------------------------------------------------- api + cache ----

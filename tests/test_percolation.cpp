@@ -5,9 +5,11 @@
 #include <set>
 
 #include "graph/generators.hpp"
+#include "multilevel/coarsen.hpp"
 #include "partition/balance.hpp"
 #include "partition/objectives.hpp"
 #include "test_support.hpp"
+#include "util/fnv.hpp"
 
 namespace ffp {
 namespace {
@@ -169,6 +171,58 @@ TEST(PercolationPartition, HeavyRegionsGetMoreSeeds) {
   EXPECT_LE(imbalance(p, 2), 1.4);
   // The cut should avoid clique interiors.
   EXPECT_LE(p.edge_cut(), 3.0);
+}
+
+// The fission cutter's bytes on weighted graphs, where the farthest-point
+// sweeps run Dijkstra: one digest of the sides of 128 seeded bisections.
+// Each set is a BFS-grown region (an atom-like connected set) of 2–301
+// vertices; every fourth keeps a random half of its region, so the
+// disconnected branch runs too. The real-weighted geometric graph has
+// distinct flow lengths; the coarse grid level has integer weights and so
+// many equal distances, which the sweeps' tie rule decides.
+std::uint64_t bisection_digest(const Graph& g) {
+  std::uint64_t h = kFnvBasisShort;
+  std::vector<int> side;
+  std::vector<char> in(static_cast<std::size_t>(g.num_vertices()), 0);
+  for (std::uint64_t i = 0; i < 128; ++i) {
+    Rng pick(i + 1);
+    const auto want = static_cast<std::size_t>(2 + pick.below(300));
+    std::vector<VertexId> region = {static_cast<VertexId>(
+        pick.below(static_cast<std::uint64_t>(g.num_vertices())))};
+    in[static_cast<std::size_t>(region[0])] = 1;
+    for (std::size_t head = 0; head < region.size() && region.size() < want;
+         ++head) {
+      for (const VertexId u : g.neighbors(region[head])) {
+        if (in[static_cast<std::size_t>(u)] || region.size() == want) continue;
+        in[static_cast<std::size_t>(u)] = 1;
+        region.push_back(u);
+      }
+    }
+    for (const VertexId v : region) in[static_cast<std::size_t>(v)] = 0;
+    std::vector<VertexId> set;
+    for (const VertexId v : region) {
+      if (i % 4 != 3 || pick.below(2) == 0) set.push_back(v);
+    }
+    if (set.size() < 2) set = {region[0], region[1]};
+    Rng rng(1000 + i);
+    percolation_bisect_into(g, set, rng, side);
+    for (const int s : side) h = fnv1a_word(static_cast<std::uint64_t>(s), h);
+  }
+  return h;
+}
+
+TEST(PercolationBisect, WeightedSweepBytesArePinned) {
+  const auto geometric =
+      with_random_weights(make_random_geometric(2048, 0.077, 9), 1.0, 10.0, 9);
+  ASSERT_FALSE(geometric.has_uniform_edge_weights());
+  CoarsenOptions copt;
+  copt.min_vertices = 1024;
+  const auto chain = coarsen_chain(make_grid2d(64, 64), copt);
+  ASSERT_FALSE(chain.empty());
+  const Graph& coarse_grid = chain.back().coarse;
+  ASSERT_FALSE(coarse_grid.has_uniform_edge_weights());
+  EXPECT_EQ(bisection_digest(geometric), 0x7b2c35829d906623ull);
+  EXPECT_EQ(bisection_digest(coarse_grid), 0xaa4ac1c41de9a003ull);
 }
 
 }  // namespace
