@@ -97,12 +97,18 @@ Graph geometric_of(int n, std::uint64_t seed) {
 Graph powerlaw_of(int n, std::uint64_t seed) {
   return make_power_law(n, 6.0, 2.5, seed);
 }
+// Real edge weights: the fission's farthest-point sweeps run Dijkstra here,
+// where every unit-weight family takes their BFS branch.
+Graph geometric_w_of(int n, std::uint64_t seed) {
+  return with_random_weights(geometric_of(n, seed), 1.0, 10.0, seed);
+}
 
 constexpr Family kFamilies[] = {
     {"grid", grid_of},
     {"torus", torus_of},
     {"geometric", geometric_of},
     {"powerlaw", powerlaw_of},
+    {"geometric_w", geometric_w_of},
 };
 
 std::string point_name(const char* metric, const char* family, VertexId n,

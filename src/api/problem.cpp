@@ -1,6 +1,10 @@
 #include "api/problem.hpp"
 
 #include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,31 +17,51 @@ namespace ffp::api {
 
 namespace {
 
+/// A generator spec's arguments. Every error names the family and the
+/// argument, and none is an FFP_CHECK: a spec is user input.
 struct GeneratorArgs {
+  std::string family;
+  std::vector<std::string> text;  ///< the arguments as written
   std::vector<double> args;
 
+  std::string name(std::size_t i, const char* what) const {
+    return family + " argument " + std::to_string(i + 1) + " (" + what + ")";
+  }
+
   double at(std::size_t i, const char* what) const {
-    FFP_CHECK(i < args.size(), "generator spec is missing argument ", i + 1,
-              " (", what, ")");
+    if (i >= args.size()) throw Error(name(i, what) + " is missing");
     return args[i];
   }
-  int as_int(std::size_t i, const char* what) const {
+  /// Argument i as an integer in [lo, hi]. The range is checked on the
+  /// double, before the conversion: converting a double outside the
+  /// integer type's range is undefined behaviour.
+  std::int64_t integer(std::size_t i, const char* what, std::int64_t lo,
+                       std::int64_t hi) const {
     const double v = at(i, what);
-    const auto n = static_cast<std::int64_t>(v);
-    FFP_CHECK(static_cast<double>(n) == v, "generator argument ", i + 1, " (",
-              what, ") must be an integer");
-    return static_cast<int>(n);
+    if (!(v >= static_cast<double>(lo) && v <= static_cast<double>(hi)) ||
+        v != std::trunc(v)) {
+      throw Error(name(i, what) + " must be an integer in [" +
+                  std::to_string(lo) + ", " + std::to_string(hi) + "], got " +
+                  text[i]);
+    }
+    return static_cast<std::int64_t>(v);
+  }
+  int as_int(std::size_t i, const char* what) const {
+    return static_cast<int>(
+        integer(i, what, 0, std::numeric_limits<int>::max()));
   }
   std::uint64_t seed(std::size_t i) const {
     if (i >= args.size()) return 1;  // stochastic families default seed
-    const auto s = static_cast<std::int64_t>(at(i, "seed"));
-    FFP_CHECK(s >= 0, "generator seed must be >= 0");
-    return static_cast<std::uint64_t>(s);
+    return static_cast<std::uint64_t>(integer(i, "seed", 0, kExactIntegers));
   }
+  /// Doubles hold every integer up to 2^53 exactly.
+  static constexpr std::int64_t kExactIntegers = std::int64_t{1} << 53;
 };
 
-GeneratorArgs parse_generator_args(std::string_view text) {
+GeneratorArgs parse_generator_args(std::string_view family,
+                                   std::string_view text) {
   GeneratorArgs out;
+  out.family = std::string(family);
   std::size_t i = 0;
   while (i <= text.size()) {
     std::size_t j = text.find(',', i);
@@ -45,8 +69,12 @@ GeneratorArgs parse_generator_args(std::string_view text) {
     const std::string_view token = trim(text.substr(i, j - i));
     if (!token.empty()) {
       const auto v = parse_double(token);
-      FFP_CHECK(v.has_value(), "bad generator argument '", std::string(token),
-                "'");
+      if (!v.has_value()) {
+        throw Error(out.family + " argument " +
+                    std::to_string(out.args.size() + 1) +
+                    " is not a number: '" + std::string(token) + "'");
+      }
+      out.text.emplace_back(token);
       out.args.push_back(*v);
     }
     i = j + 1;
@@ -84,9 +112,9 @@ Graph make_generated(std::string_view family, const GeneratorArgs& a) {
                           a.at(2, "gamma"), a.seed(3));
   }
   if (family == "random") {
-    return make_random_graph(a.as_int(0, "n"),
-                             static_cast<std::int64_t>(a.at(1, "m")),
-                             a.seed(2));
+    return make_random_graph(
+        a.as_int(0, "n"), a.integer(1, "m", 0, GeneratorArgs::kExactIntegers),
+        a.seed(2));
   }
   if (family == "atc") {
     CoreAreaOptions opt;
@@ -171,7 +199,8 @@ Problem Problem::generated(std::string_view spec) {
   const std::string_view args_text =
       colon == std::string_view::npos ? std::string_view{}
                                       : spec.substr(colon + 1);
-  const Graph g = make_generated(family, parse_generator_args(args_text));
+  const Graph g =
+      make_generated(family, parse_generator_args(family, args_text));
   Problem out = from_shared(std::make_shared<const Graph>(std::move(g)),
                             "gen:" + std::string(trim(spec)));
   return out;

@@ -234,6 +234,89 @@ Partition percolation_partition(const Graph& g, int k,
 
 namespace {
 
+/// Indexed binary min-heap of local ids ordered by (dist[v], v): at most
+/// one entry per vertex, moved up in place when its distance drops, so no
+/// stale entry is ever pushed or popped. (dist, id) is a total order, so it
+/// pops vertices in the same sequence as a lazy heap of (dist, id) pairs
+/// that skips its stale entries.
+class DistHeap {
+ public:
+  /// Empties the heap for a sweep over n vertices keyed by `dist`.
+  void reset(int n, const std::vector<double>& dist) {
+    items_.clear();
+    pos_.assign(static_cast<std::size_t>(n), -1);
+    dist_ = dist.data();
+  }
+
+  bool empty() const { return items_.empty(); }
+
+  /// Inserts v, or restores heap order after dist[v] decreased.
+  void push_or_decrease(int v) {
+    int at = pos_[static_cast<std::size_t>(v)];
+    if (at < 0) {
+      at = static_cast<int>(items_.size());
+      items_.push_back(v);
+    }
+    sift_up(at, v);
+  }
+
+  int pop() {
+    const int top = items_.front();
+    pos_[static_cast<std::size_t>(top)] = -1;
+    const int last = items_.back();
+    items_.pop_back();
+    if (!items_.empty()) sift_down(last);
+    return top;
+  }
+
+ private:
+  bool before(int a, int b) const {
+    const double da = dist_[a];
+    const double db = dist_[b];
+    return da < db || (da == db && a < b);
+  }
+
+  void place(int i, int v) {
+    items_[static_cast<std::size_t>(i)] = v;
+    pos_[static_cast<std::size_t>(v)] = i;
+  }
+
+  void sift_up(int i, int v) {
+    while (i > 0) {
+      const int parent = (i - 1) / 2;
+      const int p = items_[static_cast<std::size_t>(parent)];
+      if (!before(v, p)) break;
+      place(i, p);
+      i = parent;
+    }
+    place(i, v);
+  }
+
+  /// Fills the hole at the root with v.
+  void sift_down(int v) {
+    const int size = static_cast<int>(items_.size());
+    int i = 0;
+    for (int child = 1; child < size; child = 2 * i + 1) {
+      int c = items_[static_cast<std::size_t>(child)];
+      if (child + 1 < size) {
+        const int right = items_[static_cast<std::size_t>(child) + 1];
+        if (before(right, c)) {
+          ++child;
+          c = right;
+        }
+      }
+      if (!before(c, v)) break;
+      place(i, c);
+      i = child;
+    }
+    place(i, v);
+  }
+
+  std::vector<int> items_;  // local ids, heap-ordered
+  std::vector<int> pos_;    // local id -> index in items_, -1 when absent
+  const double* dist_ = nullptr;
+};
+
 /// Scratch for the in-place bisection the fusion-fission fission hot path
 /// runs on every split. The member set is compacted into a tiny local CSR
 /// once per call (one unsorted pass, buffers reused across calls), so the
@@ -265,7 +348,7 @@ struct BisectScratch {
   std::vector<double> cand_bond;
   std::vector<int> cand_owner;
   std::vector<double> dist;
-  std::vector<std::pair<double, int>> heap;  // Dijkstra min-heap
+  DistHeap dist_heap;  // the weighted sweep's queue
   std::vector<int> frontier, touched;
 
   void build(const Graph& g, std::span<const VertexId> vertices,
@@ -328,6 +411,13 @@ struct BisectScratch {
 /// and the number of reached vertices (the first sweep doubles as the
 /// connectivity probe). Uniform edge weights make every flow length equal,
 /// so the sweep degrades to plain BFS — no heap at all.
+///
+/// `far` is the first vertex settled at the largest distance, so it depends
+/// on how equal distances are settled, and the coarse graphs of unit-weight
+/// meshes, whose weights are small integers, have many ties. The weighted
+/// sweep settles in (dist, id) order, DistHeap's total order, which decides
+/// every tie; a queue with any other tie rule would move `far`, and with it
+/// the split.
 int farthest_local(BisectScratch& s, bool uniform, int source, int& reached) {
   reached = 1;
   if (uniform) {
@@ -358,15 +448,14 @@ int farthest_local(BisectScratch& s, bool uniform, int source, int& reached) {
   std::fill(s.dist.begin(), s.dist.begin() + s.n,
             std::numeric_limits<double>::infinity());
   s.dist[static_cast<std::size_t>(source)] = 0.0;
-  s.heap.clear();
-  s.heap.push_back({0.0, source});
+  auto& heap = s.dist_heap;
+  heap.reset(s.n, s.dist);
+  heap.push_or_decrease(source);
   int far = source;
   double far_d = 0.0;
-  while (!s.heap.empty()) {
-    std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<>());
-    const auto [d, v] = s.heap.back();
-    s.heap.pop_back();
-    if (d > s.dist[static_cast<std::size_t>(v)]) continue;
+  while (!heap.empty()) {
+    const int v = heap.pop();
+    const double d = s.dist[static_cast<std::size_t>(v)];
     if (d > far_d) {
       far_d = d;
       far = v;
@@ -381,8 +470,7 @@ int farthest_local(BisectScratch& s, bool uniform, int source, int& reached) {
           ++reached;
         }
         s.dist[static_cast<std::size_t>(u)] = nd;
-        s.heap.push_back({nd, u});
-        std::push_heap(s.heap.begin(), s.heap.end(), std::greater<>());
+        heap.push_or_decrease(u);
       }
     }
   }

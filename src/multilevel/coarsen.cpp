@@ -1,8 +1,78 @@
 #include "multilevel/coarsen.hpp"
 
-#include <unordered_map>
+#include <algorithm>
+#include <limits>
 
 namespace ffp {
+
+namespace {
+
+/// The coarse edges of g under `fine_to_coarse` (next coarse vertices),
+/// each weight the sum of its fine edges in scan order: v ascending, then
+/// v's neighbours ascending. Three passes and no hashing. The cross edges
+/// (v < u, ends in different coarse vertices) are counted per lower coarse
+/// endpoint, then scattered into those buckets in scan order, and each
+/// bucket is folded through a dense slot array, so every coarse edge adds
+/// the same terms in the same order as one running sum per edge over the
+/// scan would. Floating-point addition is not associative, so that order is
+/// what keeps the weights' bits. The buckets die here, before the caller
+/// builds the graph.
+std::vector<WeightedEdge> coarse_edges(
+    const Graph& g, const std::vector<VertexId>& fine_to_coarse,
+    VertexId next) {
+  const auto nc = static_cast<std::size_t>(next);
+  const auto coarse_of = [&fine_to_coarse](VertexId v) {
+    return fine_to_coarse[static_cast<std::size_t>(v)];
+  };
+  std::vector<ArcId> start(nc + 1, 0);  // bucket c is [start[c], start[c+1])
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const VertexId cv = coarse_of(v);
+    for (const VertexId u : g.neighbors(v)) {
+      const VertexId cu = coarse_of(u);
+      if (u < v || cu == cv) continue;  // seen from u, or a self-loop
+      ++start[static_cast<std::size_t>(std::min(cv, cu)) + 1];
+    }
+  }
+  for (std::size_t c = 0; c < nc; ++c) start[c + 1] += start[c];
+
+  std::vector<VertexId> hi(static_cast<std::size_t>(start[nc]));
+  std::vector<Weight> term(hi.size());
+  std::vector<ArcId> fill(start.begin(), start.end() - 1);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const VertexId cv = coarse_of(v);
+    const auto nbrs = g.neighbors(v);
+    const auto ws = g.neighbor_weights(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const VertexId cu = coarse_of(nbrs[i]);
+      if (nbrs[i] < v || cu == cv) continue;
+      const auto t = static_cast<std::size_t>(
+          fill[static_cast<std::size_t>(std::min(cv, cu))]++);
+      hi[t] = std::max(cv, cu);
+      term[t] = ws[i];
+    }
+  }
+
+  // slot[h] indexes the edge (c, h) while bucket c folds. An index left by
+  // an earlier bucket lies below `first`, so no slot needs clearing.
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  std::vector<WeightedEdge> edges;
+  std::vector<std::size_t> slot(nc, kNone);
+  for (std::size_t c = 0; c < nc; ++c) {
+    const std::size_t first = edges.size();
+    for (auto t = static_cast<std::size_t>(start[c]);
+         t < static_cast<std::size_t>(start[c + 1]); ++t) {
+      std::size_t& e = slot[static_cast<std::size_t>(hi[t])];
+      if (e == kNone || e < first) {
+        e = edges.size();
+        edges.push_back({static_cast<VertexId>(c), hi[t], 0.0});
+      }
+      edges[e].w += term[t];
+    }
+  }
+  return edges;
+}
+
+}  // namespace
 
 CoarseLevel contract_matching(const Graph& g, std::span<const VertexId> match) {
   const VertexId n = g.num_vertices();
@@ -27,28 +97,8 @@ CoarseLevel contract_matching(const Graph& g, std::span<const VertexId> match) {
         g.vertex_weight(v);
   }
 
-  // Combine fine edges into coarse edges, summing weights of parallels.
-  std::unordered_map<std::int64_t, Weight> acc;
-  acc.reserve(static_cast<std::size_t>(g.num_edges()));
-  for (VertexId v = 0; v < n; ++v) {
-    const VertexId cv = level.fine_to_coarse[static_cast<std::size_t>(v)];
-    const auto nbrs = g.neighbors(v);
-    const auto ws = g.neighbor_weights(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId cu = level.fine_to_coarse[static_cast<std::size_t>(nbrs[i])];
-      if (cu == cv || nbrs[i] < v) continue;  // self-loop or already counted
-      const std::int64_t key =
-          static_cast<std::int64_t>(std::min(cv, cu)) * next + std::max(cv, cu);
-      acc[key] += ws[i];
-    }
-  }
-  std::vector<WeightedEdge> edges;
-  edges.reserve(acc.size());
-  for (const auto& [key, w] : acc) {
-    edges.push_back({static_cast<VertexId>(key / next),
-                     static_cast<VertexId>(key % next), w});
-  }
-  level.coarse = Graph::from_edges(next, edges, std::move(cvw));
+  level.coarse = Graph::from_edges(
+      next, coarse_edges(g, level.fine_to_coarse, next), std::move(cvw));
   return level;
 }
 

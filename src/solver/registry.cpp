@@ -1,5 +1,8 @@
 #include "solver/registry.hpp"
 
+#include <cstdint>
+#include <limits>
+
 #include "core/fusion_fission.hpp"
 #include "metaheuristics/annealing.hpp"
 #include "metaheuristics/ant_colony.hpp"
@@ -51,13 +54,15 @@ SolverOptions SolverOptions::parse(std::string_view text) {
     if (!piece.empty()) {
       for (const std::string_view pair : split_pairs(piece)) {
         const std::size_t eq = pair.find('=');
-        FFP_CHECK(eq != std::string_view::npos && eq > 0,
-                  "bad solver option '", std::string(pair),
-                  "' (expected key=value)");
+        if (eq == std::string_view::npos || eq == 0) {
+          throw Error("bad solver option '" + std::string(pair) +
+                      "' (expected key=value)");
+        }
         const std::string key(trim(pair.substr(0, eq)));
         const std::string value(trim(pair.substr(eq + 1)));
-        FFP_CHECK(!out.values_.count(key), "duplicate solver option '", key,
-                  "'");
+        if (out.values_.count(key)) {
+          throw Error("duplicate solver option '" + key + "'");
+        }
         out.values_[key] = value;
       }
     }
@@ -89,18 +94,29 @@ double SolverOptions::get_double(const std::string& key, double fallback) const 
   if (!has(key)) return fallback;
   const std::string text = get_string(key, "");
   const auto v = parse_double(text);
-  FFP_CHECK(v.has_value(), "option '", key, "' expects a number, got '", text,
-            "'");
+  if (!v.has_value()) {
+    throw Error("option '" + key + "' expects a number, got '" + text + "'");
+  }
   return *v;
 }
 
 std::int64_t SolverOptions::get_int(const std::string& key,
-                                    std::int64_t fallback) const {
+                                    std::int64_t fallback, std::int64_t lo,
+                                    std::int64_t hi) const {
   if (!has(key)) return fallback;
   const std::string text = get_string(key, "");
   const auto v = parse_int(text);
-  FFP_CHECK(v.has_value(), "option '", key, "' expects an integer, got '",
-            text, "'");
+  if (!v.has_value()) {
+    throw Error("option '" + key + "' expects an integer, got '" + text +
+                "'");
+  }
+  if (*v < lo || *v > hi) {
+    throw Error("option '" + key + "' must be " +
+                (hi == INT64_MAX ? ">= " + std::to_string(lo)
+                                 : "in [" + std::to_string(lo) + ", " +
+                                       std::to_string(hi) + "]") +
+                ", got " + text);
+  }
   return *v;
 }
 
@@ -242,6 +258,9 @@ ResolvedSolver SolverRegistry::resolve(std::string_view spec) const {
 
 namespace {
 
+/// The upper bound of every option that lands in an int.
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
 SectionArity parse_arity(const SolverOptions& o, SectionArity fallback) {
   return o.get_enum<SectionArity>(
       "arity", fallback,
@@ -277,7 +296,7 @@ SolverRegistry::SolverRegistry() {
         FusionFissionOptions opt;
         opt.tmax = o.get_double("tmax", opt.tmax);
         opt.tmin = o.get_double("tmin", opt.tmin);
-        opt.nbt = static_cast<int>(o.get_int("nbt", opt.nbt));
+        opt.nbt = static_cast<int>(o.get_int("nbt", opt.nbt, 1, kIntMax));
         opt.choice_slope = o.get_double("choice_slope", opt.choice_slope);
         opt.choice_offset = o.get_double("choice_offset", opt.choice_offset);
         opt.law_delta = o.get_double("law_delta", opt.law_delta);
@@ -321,10 +340,10 @@ SolverRegistry::SolverRegistry() {
       "levels). Options: coarse_n, refine_steps, matching=heavy|random",
       true, EvolveSupport::MutateOnly, [](const SolverOptions& o) -> Run {
         MlffOptions opt;
-        opt.coarse_n = static_cast<int>(o.get_int("coarse_n", opt.coarse_n));
-        FFP_CHECK(opt.coarse_n >= 0, "mlff coarse_n must be >= 0");
-        opt.refine_steps = o.get_int("refine_steps", opt.refine_steps);
-        FFP_CHECK(opt.refine_steps >= 0, "mlff refine_steps must be >= 0");
+        opt.coarse_n =
+            static_cast<int>(o.get_int("coarse_n", opt.coarse_n, 0, kIntMax));
+        opt.refine_steps =
+            o.get_int("refine_steps", opt.refine_steps, 0, INT64_MAX);
         opt.matching = o.get_enum<MatchingKind>(
             "matching", opt.matching,
             {{"heavy", MatchingKind::HeavyEdge},
@@ -359,7 +378,7 @@ SolverRegistry::SolverRegistry() {
         opt.tmin_fraction = o.get_double("tmin_fraction", opt.tmin_fraction);
         opt.cooling = o.get_double("cooling", opt.cooling);
         opt.equilibrium_rejections = static_cast<int>(
-            o.get_int("equilibrium", opt.equilibrium_rejections));
+            o.get_int("equilibrium", opt.equilibrium_rejections, 0, kIntMax));
         opt.high_temp_fraction =
             o.get_double("high_temp_fraction", opt.high_temp_fraction);
         return [opt](const Graph& g, const SolverRequest& request,
@@ -385,15 +404,15 @@ SolverRegistry::SolverRegistry() {
       "deposit, explore_bonus, alpha, beta, walk_length)",
       true, EvolveSupport::None, [](const SolverOptions& o) -> Run {
         AntColonyOptions opt;
-        opt.ants_per_colony =
-            static_cast<int>(o.get_int("ants", opt.ants_per_colony));
+        opt.ants_per_colony = static_cast<int>(
+            o.get_int("ants", opt.ants_per_colony, 1, kIntMax));
         opt.evaporation = o.get_double("evaporation", opt.evaporation);
         opt.deposit = o.get_double("deposit", opt.deposit);
         opt.explore_bonus = o.get_double("explore_bonus", opt.explore_bonus);
         opt.alpha = o.get_double("alpha", opt.alpha);
         opt.beta = o.get_double("beta", opt.beta);
-        opt.walk_length =
-            static_cast<int>(o.get_int("walk_length", opt.walk_length));
+        opt.walk_length = static_cast<int>(
+            o.get_int("walk_length", opt.walk_length, 0, kIntMax));
         return [opt](const Graph& g, const SolverRequest& request,
                      const StopCondition& stop) {
           AntColonyOptions run_opt = opt;
@@ -420,8 +439,8 @@ SolverRegistry::SolverRegistry() {
             "initial", opt.initial,
             {{"spectral", InitialPartitioner::SpectralBisection},
              {"greedy", InitialPartitioner::GreedyGrowing}});
-        opt.coarsest_vertices =
-            static_cast<int>(o.get_int("coarsest", opt.coarsest_vertices));
+        opt.coarsest_vertices = static_cast<int>(
+            o.get_int("coarsest", opt.coarsest_vertices, 2, kIntMax));
         opt.max_imbalance = o.get_double("max_imbalance", opt.max_imbalance);
         opt.final_kway_refine =
             o.get_bool("final_refine", opt.final_kway_refine);
@@ -478,9 +497,11 @@ SolverRegistry::SolverRegistry() {
       "Chaco's linear scheme (arity=2|4|8, kl)", false, EvolveSupport::None,
       [](const SolverOptions& o) -> Run {
         LinearOptions opt;
-        opt.arity = static_cast<int>(o.get_int("arity", opt.arity));
-        FFP_CHECK(opt.arity == 2 || opt.arity == 4 || opt.arity == 8,
-                  "linear arity must be 2, 4 or 8, got ", opt.arity);
+        opt.arity = static_cast<int>(o.get_int("arity", opt.arity, 2, 8));
+        if (opt.arity != 2 && opt.arity != 4 && opt.arity != 8) {
+          throw Error("option 'arity' must be 2, 4 or 8, got " +
+                      std::to_string(opt.arity));
+        }
         opt.kl_refine = o.get_bool("kl", opt.kl_refine);
         return [opt](const Graph& g, const SolverRequest& request,
                      const StopCondition&) {
@@ -495,8 +516,8 @@ SolverRegistry::SolverRegistry() {
       "standalone percolation partitioning (max_rounds)", false,
       EvolveSupport::None, [](const SolverOptions& o) -> Run {
         PercolationOptions opt;
-        opt.max_rounds =
-            static_cast<int>(o.get_int("max_rounds", opt.max_rounds));
+        opt.max_rounds = static_cast<int>(
+            o.get_int("max_rounds", opt.max_rounds, 0, kIntMax));
         return [opt](const Graph& g, const SolverRequest& request,
                      const StopCondition&) {
           PercolationOptions run_opt = opt;

@@ -33,7 +33,8 @@ class SolverOptions {
   SolverOptions() = default;
 
   /// Parses "key=value,key=value" (empty string → no options). Throws
-  /// ffp::Error on malformed pairs or duplicate keys.
+  /// ffp::Error on malformed pairs or duplicate keys. Every option error
+  /// is a plain message that names the option.
   static SolverOptions parse(std::string_view text);
 
   bool has(const std::string& key) const { return values_.count(key) > 0; }
@@ -41,7 +42,11 @@ class SolverOptions {
 
   std::string get_string(const std::string& key, std::string fallback) const;
   double get_double(const std::string& key, double fallback) const;
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// An integer option bounded to [lo, hi], checked before any narrowing
+  /// cast, which would silently change an out-of-range value
+  /// (arity=4294967298 would become 2).
+  std::int64_t get_int(const std::string& key, std::int64_t fallback,
+                       std::int64_t lo, std::int64_t hi) const;
   bool get_bool(const std::string& key, bool fallback) const;
 
   /// Maps a string option through an explicit value table; throws with the

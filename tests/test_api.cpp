@@ -17,6 +17,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -235,6 +236,36 @@ TEST(Problem, SourcesAndDigests) {
   EXPECT_NE(api::Problem::from_graph(with_random_weights(base, 1, 9, 1))
                 .digest(),
             api::Problem::from_graph(base).digest());
+}
+
+// A generator spec is user input: a bad argument fails with a plain message
+// naming the family and the argument, never an FFP_CHECK expression or a
+// source path. An integer argument is range-checked as a double first, so
+// 4294967298 is not narrowed to 2 and 1e300 is never converted (that
+// conversion is undefined behaviour, which the sanitizer build reports).
+TEST(Problem, BadGeneratorArgumentsFailPlainlyNamingTheArgument) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"grid2d:4294967298,4", "grid2d argument 1 (rows)"},
+      {"grid2d:1e300,4", "grid2d argument 1 (rows)"},
+      {"grid2d:-1,4", "grid2d argument 1 (rows)"},
+      {"grid2d:8,x", "grid2d argument 2"},
+      {"grid2d:8", "grid2d argument 2 (cols)"},
+      {"grid2d:8,2.5", "grid2d argument 2 (cols)"},
+      {"geometric:100,0.1,1e300", "geometric argument 3 (seed)"},
+      {"random:100,1e300", "random argument 2 (m)"},
+      {"atc:1e300", "atc argument 1 (seed)"},
+  };
+  for (const auto& [spec, name] : cases) {
+    try {
+      (void)api::Problem::generated(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(name), std::string::npos) << spec << ": " << what;
+      EXPECT_EQ(what.find("FFP_CHECK"), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+    }
+  }
 }
 
 // --------------------------------------------------------------- handle ----

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "benchlib/methods.hpp"
 #include "test_support.hpp"
@@ -31,7 +35,7 @@ TEST(SolverOptions, ParsesKeyValuePairs) {
   EXPECT_EQ(o.get_string("beta", ""), "x");
   EXPECT_TRUE(o.get_bool("gamma", false));
   EXPECT_FALSE(o.has("delta"));
-  EXPECT_EQ(o.get_int("delta", 42), 42);
+  EXPECT_EQ(o.get_int("delta", 42, 0, 100), 42);
 }
 
 TEST(SolverOptions, EmptyStringMeansNoOptions) {
@@ -48,8 +52,8 @@ TEST(SolverOptions, RejectsMalformedPairs) {
 
 TEST(SolverOptions, WhitespaceSeparatedPairsAndCanonicalText) {
   const auto o = SolverOptions::parse("nbt=800 tmax=2");
-  EXPECT_EQ(o.get_int("nbt", 0), 800);
-  EXPECT_EQ(o.get_int("tmax", 0), 2);
+  EXPECT_EQ(o.get_int("nbt", 0, 1, 1000), 800);
+  EXPECT_EQ(o.get_int("tmax", 0, 0, 10), 2);
   // Duplicates are rejected across separator styles too.
   EXPECT_THROW(SolverOptions::parse("a=1 a=2"), Error);
   EXPECT_THROW(SolverOptions::parse("a=1, a=2"), Error);
@@ -61,14 +65,23 @@ TEST(SolverOptions, WhitespaceSeparatedPairsAndCanonicalText) {
 
 TEST(SolverOptions, TypedGettersValidate) {
   const auto o = SolverOptions::parse("n=abc,b=maybe");
-  EXPECT_THROW(o.get_int("n", 0), Error);
+  EXPECT_THROW(o.get_int("n", 0, INT64_MIN, INT64_MAX), Error);
   EXPECT_THROW(o.get_double("n", 0.0), Error);
   EXPECT_THROW(o.get_bool("b", false), Error);
 }
 
+TEST(SolverOptions, IntegersAreRangeCheckedBeforeNarrowing) {
+  const auto o = SolverOptions::parse("lo=0,hi=8,wide=4294967298");
+  EXPECT_EQ(o.get_int("lo", 5, 0, 8), 0);
+  EXPECT_EQ(o.get_int("hi", 5, 0, 8), 8);
+  EXPECT_THROW(o.get_int("lo", 5, 1, 8), Error);
+  EXPECT_THROW(o.get_int("wide", 5, 0, std::numeric_limits<int>::max()),
+               Error);
+}
+
 TEST(SolverOptions, TracksUnreadKeys) {
   const auto o = SolverOptions::parse("read=1,unread=2");
-  (void)o.get_int("read", 0);
+  (void)o.get_int("read", 0, 0, 1);
   const auto unread = o.unread_keys();
   ASSERT_EQ(unread.size(), 1u);
   EXPECT_EQ(unread[0], "unread");
@@ -102,6 +115,35 @@ TEST(Registry, LinearRejectsUnsupportedArity) {
   EXPECT_THROW(make_solver("linear:arity=3"), Error);
   EXPECT_THROW(make_solver("linear:arity=0,kl=true"), Error);
   EXPECT_NO_THROW(make_solver("linear:arity=4,kl=true"));
+}
+
+// A bad method spec is the user's error: the message names the option and
+// carries no FFP_CHECK expression or source path (the CLI prints it, and a
+// bad_request reply carries it).
+TEST(Registry, BadSpecsFailPlainlyNamingTheOption) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"mlff:coarse_n=-1", "coarse_n"},
+      {"mlff:refine_steps=-1", "refine_steps"},
+      {"annealing:tmax=abc", "tmax"},
+      {"ant_colony:ants=1.5", "ants"},
+      {"annealing:tmax=1,tmax=2", "tmax"},
+      {"fusion_fission:seed", "seed"},
+      {"linear:arity=3", "arity"},
+      {"linear:arity=4294967298", "arity"},
+      {"fusion_fission:nbt=4294967297", "nbt"},
+      {"percolation:max_rounds=-1", "max_rounds"},
+  };
+  for (const auto& [spec, option] : cases) {
+    try {
+      (void)make_solver(spec);
+      ADD_FAILURE() << spec << " resolved";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(option), std::string::npos) << spec << ": " << what;
+      EXPECT_EQ(what.find("FFP_CHECK"), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Registry, HelpNamesWhatTheEntryReads) {

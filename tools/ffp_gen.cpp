@@ -12,7 +12,9 @@
 //            --restarts 8 --threads 4
 #include <cstdio>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ffp/api.hpp"
@@ -23,19 +25,27 @@
 
 namespace {
 
-std::vector<std::int64_t> parse_int_list(const std::string& csv) {
-  std::vector<std::int64_t> out;
+/// A flag's comma-separated values, each parsed by `parse`; a bad token
+/// fails naming the flag.
+template <typename T>
+std::vector<T> parse_list(const std::string& flag, const std::string& csv,
+                          std::optional<T> (*parse)(std::string_view),
+                          const char* expects) {
+  std::vector<T> out;
   std::size_t start = 0;
   while (start <= csv.size()) {
-    const auto comma = csv.find(',', start);
-    const auto token = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
+    auto comma = csv.find(',', start);
+    if (comma == std::string::npos) comma = csv.size();
+    const auto token =
+        ffp::trim(std::string_view(csv).substr(start, comma - start));
     if (!token.empty()) {
-      const auto v = ffp::parse_int(token);
-      FFP_CHECK(v.has_value(), "bad integer in --args: '", token, "'");
+      const std::optional<T> v = parse(token);
+      if (!v.has_value()) {
+        throw ffp::Error("--" + flag + " expects " + expects + ", got '" +
+                         std::string(token) + "'");
+      }
       out.push_back(*v);
     }
-    if (comma == std::string::npos) break;
     start = comma + 1;
   }
   return out;
@@ -50,7 +60,7 @@ int main(int argc, char** argv) {
             "geometric|powerlaw|random|caterpillar|atc")
       .flag("args", "32,32", "family dimensions, comma separated")
       .flag("seed", "1", "random seed (stochastic families)")
-      .flag("weights", "", "randomize edge weights: lo,hi")
+      .flag("weights", "", "randomize edge weights, uniform in [lo, hi): lo,hi")
       .flag("out", "", "output file (stdout if empty)")
       .toggle("help", "show this help");
   try {
@@ -60,7 +70,9 @@ int main(int argc, char** argv) {
       return 0;
     }
     const std::string family = args.get("family");
-    const auto dims = parse_int_list(args.get("args"));
+    const auto dims =
+        parse_list<std::int64_t>("args", args.get("args"), ffp::parse_int,
+                                 "integers");
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
     auto dim = [&](std::size_t i, std::int64_t fallback) -> long long {
       return dims.size() > i ? dims[i] : fallback;
@@ -109,10 +121,13 @@ int main(int argc, char** argv) {
 
     const std::string wspec = args.get("weights");
     if (!wspec.empty()) {
-      const auto range = parse_int_list(wspec);
-      FFP_CHECK(range.size() == 2, "--weights expects lo,hi");
-      g = ffp::with_random_weights(g, static_cast<double>(range[0]),
-                                   static_cast<double>(range[1]), seed ^ 0xb5);
+      const auto range =
+          parse_list<double>("weights", wspec, ffp::parse_double, "numbers");
+      if (range.size() != 2 || !(range[0] >= 0.0 && range[1] > range[0])) {
+        throw ffp::Error("--weights expects lo,hi with 0 <= lo < hi, got '" +
+                         wspec + "'");
+      }
+      g = ffp::with_random_weights(g, range[0], range[1], seed ^ 0xb5);
     }
 
     std::fprintf(stderr, "%s\n", g.summary().c_str());
