@@ -34,7 +34,7 @@ struct GeneratorArgs {
   }
   /// Argument i as an integer in [lo, hi]. The range is checked on the
   /// double, before the conversion: converting a double outside the
-  /// integer type's range is undefined behaviour.
+  /// integer type's range is undefined behavior.
   std::int64_t integer(std::size_t i, const char* what, std::int64_t lo,
                        std::int64_t hi) const {
     const double v = at(i, what);

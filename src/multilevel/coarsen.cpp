@@ -9,14 +9,15 @@ namespace {
 
 /// The coarse edges of g under `fine_to_coarse` (next coarse vertices),
 /// each weight the sum of its fine edges in scan order: v ascending, then
-/// v's neighbours ascending. Three passes and no hashing. The cross edges
+/// v's neighbors ascending. Three passes and no hashing. The cross edges
 /// (v < u, ends in different coarse vertices) are counted per lower coarse
 /// endpoint, then scattered into those buckets in scan order, and each
 /// bucket is folded through a dense slot array, so every coarse edge adds
 /// the same terms in the same order as one running sum per edge over the
 /// scan would. Floating-point addition is not associative, so that order is
-/// what keeps the weights' bits. The buckets die here, before the caller
-/// builds the graph.
+/// what keeps the weights' bits. The edges themselves come out in bucket
+/// order, which does not matter: Graph::from_edges sorts every row. The
+/// buckets are freed here, before the caller builds the graph.
 std::vector<WeightedEdge> coarse_edges(
     const Graph& g, const std::vector<VertexId>& fine_to_coarse,
     VertexId next) {

@@ -19,7 +19,13 @@ struct CoarseLevel {
   std::vector<VertexId> fine_to_coarse;  ///< indexed by fine vertex id
 };
 
-/// Contract the given matching of g.
+/// Contract the given matching of g (symmetric: match[match[v]] == v, and
+/// match[v] == v leaves v unmatched). Coarse vertices are numbered in order
+/// of their lowest fine vertex. A coarse edge's weight is the sum of the
+/// fine edges it folds, added in (lower fine endpoint, higher fine
+/// endpoint) order, so its bits are fixed even for real weights, where
+/// another order would round differently. O(n + m) before the CSR build,
+/// with no hashing.
 CoarseLevel contract_matching(const Graph& g, std::span<const VertexId> match);
 
 enum class MatchingKind { HeavyEdge, Random };

@@ -242,7 +242,7 @@ TEST(Problem, SourcesAndDigests) {
 // naming the family and the argument, never an FFP_CHECK expression or a
 // source path. An integer argument is range-checked as a double first, so
 // 4294967298 is not narrowed to 2 and 1e300 is never converted (that
-// conversion is undefined behaviour, which the sanitizer build reports).
+// conversion is undefined behavior, which the sanitizer build reports).
 TEST(Problem, BadGeneratorArgumentsFailPlainlyNamingTheArgument) {
   const std::pair<const char*, const char*> cases[] = {
       {"grid2d:4294967298,4", "grid2d argument 1 (rows)"},
