@@ -54,6 +54,29 @@ TEST(Annealing, DeterministicForSeed) {
   EXPECT_EQ(ra.accepted, rb.accepted);
 }
 
+TEST(Annealing, RunBytesArePinned) {
+  // Golden digest recorded once: auto-calibrated tmax, then a fast schedule
+  // that cools below high_temp_fraction · tmax, where targets are drawn
+  // from the parts adjacent to the vertex.
+  const auto g = with_random_weights(make_grid2d(12, 12), 1.0, 8.0, 21);
+  const auto init = percolation_partition(g, 6, {});
+  AnnealingOptions opt;
+  opt.cooling = 0.9;
+  opt.equilibrium_rejections = 64;
+  opt.seed = 23;
+  SimulatedAnnealing sa(g, 6, opt);
+  const auto res = sa.run(init, StopCondition::after_steps(40000));
+  // 0.9^7 < 0.5: at least seven coolings reach the connected-target draw.
+  EXPECT_GE(res.coolings, 7);
+  using ffp::testing::bits;
+  EXPECT_EQ(ffp::testing::partition_digest(
+                res.best, {bits(res.best_value),
+                           static_cast<std::uint64_t>(res.steps),
+                           static_cast<std::uint64_t>(res.accepted),
+                           static_cast<std::uint64_t>(res.coolings)}),
+            0x77da76af9020eff1ull);
+}
+
 TEST(Annealing, RecorderSeesMonotoneImprovement) {
   const auto g = with_random_weights(make_grid2d(8, 8), 1.0, 4.0, 9);
   const auto init = percolation_partition(g, 4, {});

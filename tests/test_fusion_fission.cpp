@@ -15,6 +15,34 @@ Graph test_graph() {
   return with_random_weights(make_grid2d(9, 9), 1.0, 7.0, 5);
 }
 
+/// A real-weighted grid in which every third edge weighs 0, so a nucleon
+/// can border another atom through zero-weight edges only — the case
+/// pick_ejected's interior rule ("no positive external weight") decides.
+Graph zero_weight_grid() {
+  const Graph base = with_random_weights(make_grid2d(20, 20), 1.0, 10.0, 8);
+  std::vector<WeightedEdge> edges;
+  for (VertexId v = 0; v < base.num_vertices(); ++v) {
+    const auto nbrs = base.neighbors(v);
+    const auto ws = base.neighbor_weights(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (nbrs[i] < v) continue;
+      edges.push_back({v, nbrs[i], edges.size() % 3 == 0 ? 0.0 : ws[i]});
+    }
+  }
+  return Graph::from_edges(base.num_vertices(), edges);
+}
+
+/// Digest of a run: its assignment, the bits of its value and every counter.
+std::uint64_t run_digest(const FusionFissionResult& res) {
+  using ffp::testing::bits;
+  return ffp::testing::partition_digest(
+      res.best, {bits(res.best_value), static_cast<std::uint64_t>(res.steps),
+                 static_cast<std::uint64_t>(res.fusions),
+                 static_cast<std::uint64_t>(res.fissions),
+                 static_cast<std::uint64_t>(res.ejections),
+                 static_cast<std::uint64_t>(res.reheats)});
+}
+
 TEST(FusionFission, InitializeReachesTargetPartCount) {
   const auto g = test_graph();
   FusionFissionOptions opt;
@@ -119,6 +147,56 @@ TEST(FusionFission, DeterministicForSeed) {
     EXPECT_EQ(ra.ejections, rb.ejections);
     EXPECT_EQ(ra.reheats, rb.reheats);
   }
+}
+
+TEST(FusionFission, RunBytesArePinned) {
+  // Golden digests recorded once. DeterministicForSeed compares two runs of
+  // one build, so it cannot see a changed tie rule or candidate order in
+  // the ejection, absorption and partner-pick operators; these can. Cut
+  // takes the tracker's Cut fast path, the other criteria its term path.
+  const std::pair<const char*, Graph> graphs[] = {
+      {"grid", make_grid2d(24, 24)},
+      {"geometric_w",
+       with_random_weights(make_random_geometric(400, 0.09, 5), 1.0, 10.0, 6)},
+      {"zero_weight", zero_weight_grid()}};
+  const ObjectiveKind kinds[] = {ObjectiveKind::Cut,
+                                 ObjectiveKind::NormalizedCut,
+                                 ObjectiveKind::MinMaxCut,
+                                 ObjectiveKind::RatioCut};
+  const std::uint64_t expected[3][4] = {
+      {0x199796f12436e611ull, 0x085cc2e20f6cfe6aull,
+       0xe2e8952294ec325full, 0xb03225303cb8f574ull},
+      {0x4ea56c90618ab7eeull, 0x8f07625e0b3dd5d3ull,
+       0x7fd98204b8a4597dull, 0x5486cd4587edd844ull},
+      {0xfc4ffeca26d21d4bull, 0x5e79115dfc077c2eull,
+       0xf0d6a9bde86e7369ull, 0x8e1cfe46497e111dull}};
+  for (std::size_t gi = 0; gi < 3; ++gi) {
+    for (std::size_t ki = 0; ki < 4; ++ki) {
+      FusionFissionOptions opt;
+      opt.objective = kinds[ki];
+      opt.seed = 31;
+      FusionFission ff(graphs[gi].second, 8, opt);
+      const auto res = ff.run(StopCondition::after_steps(3000));
+      EXPECT_EQ(run_digest(res), expected[gi][ki])
+          << graphs[gi].first << " " << objective_name(kinds[ki]);
+    }
+  }
+}
+
+TEST(FusionFission, AuxTermRunBytesArePinned) {
+  // choice_term_bias > 0 keeps the leak-ratio sum as the tracker's aux
+  // term, which every move, merge and split updates.
+  const auto g =
+      with_random_weights(make_random_geometric(400, 0.09, 5), 1.0, 10.0, 6);
+  FusionFissionOptions opt;
+  opt.choice_term_bias = 0.5;
+  opt.seed = 33;
+  FusionFission ff(g, 8, opt);
+  const auto res = ff.run(StopCondition::after_steps(3000));
+  EXPECT_EQ(res.fusions, 1881);
+  EXPECT_EQ(res.fissions, 1119);
+  EXPECT_EQ(res.ejections, 4519);
+  EXPECT_EQ(run_digest(res), 0x4f768df6f01d915dull);
 }
 
 TEST(FusionFission, LawsOffAblationStillWorks) {

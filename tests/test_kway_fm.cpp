@@ -83,6 +83,48 @@ TEST(KwayFm, McutObjectiveDrivesRatioImprovement) {
   EXPECT_LT(res.final_objective, res.initial_objective);
 }
 
+TEST(KwayFm, RefineBytesArePinned) {
+  // Golden digests recorded once: the refined assignment, the bits of the
+  // final value, and the move and pass counts, with the balance cap on.
+  // On the unit grid many candidates tie, so the order candidates are
+  // priced in decides the move; on the weighted grid the deltas are real.
+  // CustomCut takes the ObjectiveFn::move_delta path.
+  const auto unit = make_grid2d(16, 16);
+  const auto weighted = with_random_weights(make_grid2d(16, 16), 1.0, 9.0, 41);
+  const ffp::testing::CustomCut custom;
+  struct Case {
+    const char* name;
+    const Graph* g;
+    const ObjectiveFn* fn;
+    std::uint64_t expected;
+  };
+  const Case cases[] = {
+      {"unit Cut", &unit, &objective(ObjectiveKind::Cut),
+       0x76aeb192485112bfull},
+      {"unit Mcut", &unit, &objective(ObjectiveKind::MinMaxCut),
+       0x07f59eaf4ebbbe65ull},
+      {"unit CustomCut", &unit, &custom, 0x76aeb192485112bfull},
+      {"weighted Cut", &weighted, &objective(ObjectiveKind::Cut),
+       0x60ab5b7be94c8443ull},
+      {"weighted Mcut", &weighted, &objective(ObjectiveKind::MinMaxCut),
+       0x149aed64248f72c8ull},
+      {"weighted CustomCut", &weighted, &custom, 0x4dc73d42438c6579ull}};
+  for (const auto& c : cases) {
+    auto p = random_partition(*c.g, 6, 43);
+    Rng rng(44);
+    KwayFmOptions opt;
+    opt.max_imbalance = 1.2;
+    const auto res = kway_fm_refine(p, *c.fn, opt, rng);
+    using ffp::testing::bits;
+    EXPECT_EQ(ffp::testing::partition_digest(
+                  p, {bits(res.final_objective),
+                      static_cast<std::uint64_t>(res.moves),
+                      static_cast<std::uint64_t>(res.passes)}),
+              c.expected)
+        << c.name;
+  }
+}
+
 TEST(KwayFm, ReportsMoveCount) {
   const auto g = make_grid2d(8, 8);
   auto p = random_partition(g, 4, 19);

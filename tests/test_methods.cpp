@@ -96,6 +96,37 @@ TEST(Methods, DeterministicRowsReproduce) {
   }
 }
 
+TEST(Methods, DeterministicRowBytesArePinned) {
+  // Golden digests recorded once, one per deterministic row (k 8, seed 5):
+  // the multilevel and spectral rows run k-way FM and rebalance, the KL
+  // rows read part connections.
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"Linear (Bi)", 0x122dd52da7c13343ull},
+      {"Linear (Bi, KL)", 0xfbb5870e916bcc23ull},
+      {"Linear (Oct, KL)", 0x00b05e3bb259bba3ull},
+      {"Spectral (Lanc, Bi)", 0xbbe790c892136342ull},
+      {"Spectral (Lanc, Bi, KL)", 0xfaec42d183767e44ull},
+      {"Spectral (Lanc, Oct)", 0xbe6100244b8ffe80ull},
+      {"Spectral (Lanc, Oct, KL)", 0x8cd9e6e9d481d784ull},
+      {"Spectral (RQI, Bi)", 0xb04d7bc16e3459e3ull},
+      {"Spectral (RQI, Bi, KL)", 0xfaec42d183767e44ull},
+      {"Spectral (RQI, Oct)", 0x5a79264943858fc7ull},
+      {"Spectral (RQI, Oct, KL)", 0x3ffa5dcb6fe2ac61ull},
+      {"Multilevel (Bi)", 0x7396ba03355a94e6ull},
+      {"Multilevel (Oct)", 0xf3363e6aee2ce827ull},
+      {"Percolation", 0x42fe49c881b46e25ull},
+  };
+  const auto methods = table1_methods();
+  const Graph& g = small_atc();
+  for (const auto& [name, digest] : expected) {
+    api::SolveSpec spec;
+    spec.k = 8;
+    spec.seed = 5;
+    const auto p = method_by_name(methods, name).run(g, spec);
+    EXPECT_EQ(ffp::testing::partition_digest(p), digest) << name;
+  }
+}
+
 TEST(Methods, MetaheuristicsRespectObjectiveChoice) {
   const auto methods = table1_methods();
   const Graph& g = small_atc();

@@ -211,25 +211,10 @@ TEST(ObjectiveTracker, AuxTermSumTracksRecompute) {
   ASSERT_NO_THROW(t.validate());
 }
 
-/// Custom (non-builtin) objective: exercises the move_delta accumulation
-/// fallback. Total cut pairs, duplicated so the tracker cannot recognize it
-/// as the built-in singleton.
-class CustomCut final : public ObjectiveFn {
- public:
-  std::string_view name() const override { return "CustomCut"; }
-  double evaluate(const Partition& p) const override {
-    return p.total_cut_pairs();
-  }
-  double move_delta(const Partition& p, VertexId v, int target) const override {
-    if (p.part_of(v) == target) return 0.0;
-    const auto prof = p.move_profile(v, target);
-    return 2.0 * (prof.ext_from - prof.ext_to);
-  }
-};
-
 TEST(ObjectiveTracker, CustomObjectiveFallbackTracks) {
+  // The custom objective exercises the move_delta accumulation fallback.
   const auto g = with_random_weights(make_cycle(40), 1.0, 2.0, 17);
-  const CustomCut fn;
+  const ffp::testing::CustomCut fn;
   Rng rng(29);
   ObjectiveTracker t(Partition(g, 4), fn);
   for (int step = 0; step < 5000; ++step) {

@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "partition/objectives.hpp"
 #include "partition/partition.hpp"
+#include "util/fnv.hpp"
 
 namespace ffp::testing {
 
@@ -48,5 +53,37 @@ inline void expect_valid_partition(const Partition& p, int expect_k = -1) {
     EXPECT_EQ(p.num_nonempty_parts(), expect_k);
   }
 }
+
+/// Golden digest for byte pins: FNV-1a over the assignment, then over each
+/// extra word (a value's bits via bits(), a counter). Two runs of one build
+/// agreeing says nothing about a changed tie rule or visiting order; a
+/// digest recorded once does.
+inline std::uint64_t partition_digest(
+    const Partition& p, std::initializer_list<std::uint64_t> extra = {}) {
+  std::uint64_t h = kFnvBasisShort;
+  for (const int q : p.assignment()) {
+    h = fnv1a_word(static_cast<std::uint64_t>(q), h);
+  }
+  for (const std::uint64_t word : extra) h = fnv1a_word(word, h);
+  return h;
+}
+
+inline std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Custom (non-builtin) objective: total cut pairs, duplicated so an
+/// ObjectiveTracker cannot recognize it as the built-in singleton and takes
+/// the ObjectiveFn::move_delta path.
+class CustomCut final : public ObjectiveFn {
+ public:
+  std::string_view name() const override { return "CustomCut"; }
+  double evaluate(const Partition& p) const override {
+    return p.total_cut_pairs();
+  }
+  double move_delta(const Partition& p, VertexId v, int target) const override {
+    if (p.part_of(v) == target) return 0.0;
+    const auto prof = p.move_profile(v, target);
+    return 2.0 * (prof.ext_from - prof.ext_to);
+  }
+};
 
 }  // namespace ffp::testing
