@@ -79,13 +79,12 @@ BENCHMARK(BM_FromAssignmentRebuild);
 void BM_Connections(benchmark::State& state) {
   const auto g = make_random_geometric(2000, 0.04, 3);
   const auto p = random_partition(g, 32, 5);
-  std::vector<std::pair<int, Weight>> conns;
+  PartMarkScratch conns;
   int q = 0;
   for (auto _ : state) {
-    conns.clear();
     p.connections(p.nonempty_parts()[static_cast<std::size_t>(q)], conns);
     q = (q + 1) % p.num_nonempty_parts();
-    benchmark::DoNotOptimize(conns.size());
+    benchmark::DoNotOptimize(conns.marked().size());
   }
 }
 BENCHMARK(BM_Connections);

@@ -111,9 +111,10 @@ int main() {
 
   // The library's SA is wired to the built-in kinds (the paper's
   // protocol), so for custom objectives the idiomatic loop is annealing by
-  // hand on an ObjectiveTracker: it owns the partition, keeps the running
-  // objective in sync across moves (move_delta accumulation for custom
-  // fns), and hands the partition back at the end.
+  // hand on an ObjectiveTracker: it owns the partition, prices a move with
+  // trial_move (the custom fn's move_delta), applies an accepted trial with
+  // move(trial), keeps the running objective in sync, and hands the
+  // partition back at the end.
   ffp::ObjectiveTracker tracker(std::move(p), bottleneck);
   double best = tracker.value();
   std::vector<int> best_assign(tracker.partition().assignment().begin(),
@@ -126,9 +127,10 @@ int main() {
       const int target = static_cast<int>(rng.below(k));
       const int from = tracker.partition().part_of(v);
       if (target == from || tracker.partition().part_size(from) <= 1) continue;
-      const double delta = tracker.move_delta(v, target);
-      if (delta <= 0.0 || rng.uniform() < std::exp(-delta / temperature)) {
-        tracker.move(v, target, delta);  // reuses the delta just computed
+      const auto trial = tracker.trial_move(v, target);
+      if (trial.delta <= 0.0 ||
+          rng.uniform() < std::exp(-trial.delta / temperature)) {
+        tracker.move(trial);  // reuses the delta and profile just computed
         if (tracker.value() < best) {
           best = tracker.value();
           best_assign.assign(tracker.partition().assignment().begin(),
@@ -142,8 +144,8 @@ int main() {
   std::printf("after annealing:    MaxPartCut = %8.1f   total cut = %8.1f"
               "   (%.3f s)\n",
               bottleneck.evaluate(p), p.edge_cut(), sa_sec);
-  std::printf("\nany ObjectiveFn works with ObjectiveTracker::move / "
-              "move_delta —\nthe paper's point that metaheuristics 'can "
+  std::printf("\nany ObjectiveFn works with ObjectiveTracker::trial_move / "
+              "move —\nthe paper's point that metaheuristics 'can "
               "easily change of goals'.\n");
   return 0;
 }

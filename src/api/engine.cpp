@@ -222,6 +222,10 @@ SolveHandle Engine::submit(const Problem& problem, const SolveSpec& spec,
   // One resolution pass answers everything method-dependent (and rejects
   // bad specs here, at the API boundary).
   const ResolvedSpec resolved = spec.resolve();
+  const VertexId n = problem.graph().num_vertices();
+  if (spec.k > n) {
+    throw Error(format("k = %d exceeds the graph's %d vertices", spec.k, n));
+  }
 
   std::string key;
   const std::string spec_key = spec.cache_key(resolved);

@@ -1,5 +1,6 @@
 #include "api/problem.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -46,9 +47,19 @@ struct GeneratorArgs {
     }
     return static_cast<std::int64_t>(v);
   }
-  int as_int(std::size_t i, const char* what) const {
+  /// Argument i as an int of at least `lo` (the family's minimum).
+  int as_int(std::size_t i, const char* what, int lo = 0) const {
     return static_cast<int>(
-        integer(i, what, 0, std::numeric_limits<int>::max()));
+        integer(i, what, lo, std::numeric_limits<int>::max()));
+  }
+  /// Argument i as a real number above `lo`.
+  double above(std::size_t i, const char* what, double lo) const {
+    const double v = at(i, what);
+    if (!(v > lo)) {
+      throw Error(name(i, what) + " must be > " + format("%g", lo) +
+                  ", got " + text[i]);
+    }
+    return v;
   }
   std::uint64_t seed(std::size_t i) const {
     if (i >= args.size()) return 1;  // stochastic families default seed
@@ -83,44 +94,58 @@ GeneratorArgs parse_generator_args(std::string_view family,
 }
 
 Graph make_generated(std::string_view family, const GeneratorArgs& a) {
+  // Each family's minimums are checked here, naming the argument, so no
+  // spec reaches a generator's own precondition. Locals fix the order in
+  // which arguments are checked, so the first bad one is named.
   if (family == "grid2d") {
-    return make_grid2d(a.as_int(0, "rows"), a.as_int(1, "cols"));
+    const int rows = a.as_int(0, "rows", 1);
+    return make_grid2d(rows, a.as_int(1, "cols", 1));
   }
   if (family == "grid3d") {
-    return make_grid3d(a.as_int(0, "nx"), a.as_int(1, "ny"), a.as_int(2, "nz"));
+    const int nx = a.as_int(0, "nx", 1);
+    const int ny = a.as_int(1, "ny", 1);
+    return make_grid3d(nx, ny, a.as_int(2, "nz", 1));
   }
   if (family == "torus") {
-    return make_torus(a.as_int(0, "rows"), a.as_int(1, "cols"));
+    const int rows = a.as_int(0, "rows", 3);
+    return make_torus(rows, a.as_int(1, "cols", 3));
   }
-  if (family == "path") return make_path(a.as_int(0, "n"));
-  if (family == "cycle") return make_cycle(a.as_int(0, "n"));
-  if (family == "complete") return make_complete(a.as_int(0, "n"));
-  if (family == "star") return make_star(a.as_int(0, "leaves"));
+  if (family == "path") return make_path(a.as_int(0, "n", 1));
+  if (family == "cycle") return make_cycle(a.as_int(0, "n", 3));
+  if (family == "complete") return make_complete(a.as_int(0, "n", 1));
+  if (family == "star") return make_star(a.as_int(0, "leaves", 1));
   if (family == "barbell") {
-    return make_barbell(a.as_int(0, "clique"),
+    return make_barbell(a.as_int(0, "clique", 2),
                         a.args.size() > 1 ? a.as_int(1, "bridge") : 1);
   }
   if (family == "caterpillar") {
-    return make_caterpillar(a.as_int(0, "spine"), a.as_int(1, "legs"));
+    return make_caterpillar(a.as_int(0, "spine", 1), a.as_int(1, "legs"));
   }
   if (family == "geometric") {
-    return make_random_geometric(a.as_int(0, "n"), a.at(1, "radius"),
-                                 a.seed(2));
+    const int n = a.as_int(0, "n", 1);
+    const double radius = a.above(1, "radius", 0.0);
+    return make_random_geometric(n, radius, a.seed(2));
   }
   if (family == "powerlaw") {
-    return make_power_law(a.as_int(0, "n"), a.at(1, "avg_deg"),
-                          a.at(2, "gamma"), a.seed(3));
+    const int n = a.as_int(0, "n", 2);
+    const double avg_deg = a.above(1, "avg_deg", 0.0);
+    const double gamma = a.above(2, "gamma", 2.0);
+    return make_power_law(n, avg_deg, gamma, a.seed(3));
   }
   if (family == "random") {
-    return make_random_graph(
-        a.as_int(0, "n"), a.integer(1, "m", 0, GeneratorArgs::kExactIntegers),
-        a.seed(2));
+    const int n = a.as_int(0, "n", 2);
+    const std::int64_t max_m =
+        std::min(static_cast<std::int64_t>(n) * (n - 1) / 2,
+                 GeneratorArgs::kExactIntegers);
+    return make_random_graph(n, a.integer(1, "m", 0, max_m), a.seed(2));
   }
   if (family == "atc") {
     CoreAreaOptions opt;
     opt.seed = a.seed(0);
-    if (a.args.size() > 1) opt.n_sectors = a.as_int(1, "sectors");
-    if (a.args.size() > 2) opt.n_edges = a.as_int(2, "edges");
+    if (a.args.size() > 1) opt.n_sectors = a.as_int(1, "sectors", 8);
+    if (a.args.size() > 2) {
+      opt.n_edges = a.as_int(2, "edges", opt.n_sectors - 1);
+    }
     return make_core_area_graph(opt).graph;
   }
   throw Error("unknown generator family '" + std::string(family) +

@@ -6,7 +6,6 @@
 
 #include "metaheuristics/percolation.hpp"
 #include "partition/objective_terms.hpp"
-#include "partition/part_scratch.hpp"
 #include "util/check.hpp"
 
 namespace ffp {
@@ -96,24 +95,24 @@ std::pair<int, Weight> FusionFission::select_fusion_partner(
   // inverse distance; the size preference cools with temperature: hot → big
   // merged atoms are easy, cold → strongly size-penalized. The scratch is
   // thread_local because concurrent portfolio restarts each run an engine.
-  static thread_local std::vector<std::pair<int, Weight>> conns;
-  conns.clear();
+  static thread_local PartMarkScratch conns;
   cur.connections(atom, conns);
-  if (conns.empty()) return {-1, 0.0};
+  const auto partners = conns.marked();
+  if (partners.empty()) return {-1, 0.0};
 
   const double size_a = cur.part_size(atom);
   static thread_local std::vector<double> scores;
   scores.clear();
-  for (const auto& [b, w] : conns) {
+  for (const int b : partners) {
     const double merged = size_a + cur.part_size(b);
     const double over = std::max(0.0, merged / choice_.target_size - 1.0);
     // Hot: penalty exponent ~0; cold: strong exponential size penalty.
     const double size_penalty = std::exp(-over * (1.0 - heat) * 3.0);
-    scores.push_back(w * size_penalty);
+    scores.push_back(conns.weight(b) * size_penalty);
   }
   const auto pick = rng.weighted_pick(scores);
-  if (pick >= scores.size()) return conns[0];
-  return conns[static_cast<std::size_t>(pick)];
+  const int b = partners[pick < scores.size() ? pick : 0];
+  return {b, conns.weight(b)};
 }
 
 std::vector<VertexId> FusionFission::pick_ejected(State& s, int atom,
@@ -138,27 +137,18 @@ std::vector<VertexId> FusionFission::pick_ejected(State& s, int atom,
   scored.reserve(members.size());
   static thread_local PartMarkScratch adjacent;
   for (VertexId v : members) {
-    adjacent.begin(cur.num_parts());
-    Weight external = 0.0, internal = 0.0;
-    const auto nbrs = g_->neighbors(v);
-    const auto ws = g_->neighbor_weights(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const int q = cur.part_of(nbrs[i]);
-      if (q == atom) {
-        internal += ws[i];
-        continue;
-      }
-      external += ws[i];
-      adjacent.add_weight(q, ws[i]);
-    }
-    if (external <= 0.0) continue;  // interior nucleon: not ejectable
+    const Weight internal = cur.neighbor_parts(v, adjacent);
+    bool boundary = false;
     double best_gain = -std::numeric_limits<double>::infinity();
     for (int q : adjacent.marked()) {
+      boundary = boundary || adjacent.weight(q) > 0.0;
       const double delta = detail::move_delta_from_profile(
           cur, options_.objective, v, q, internal, adjacent.weight(q));
       best_gain = std::max(best_gain, -delta);
     }
-    scored.emplace_back(best_gain, v);
+    // Interior nucleon: no positive connection to another atom (edge
+    // weights are non-negative), so not ejectable.
+    if (boundary) scored.emplace_back(best_gain, v);
   }
   const auto take = std::min<std::size_t>(static_cast<std::size_t>(count),
                                           scored.size());
@@ -173,48 +163,35 @@ std::vector<VertexId> FusionFission::pick_ejected(State& s, int atom,
 int FusionFission::absorb_nucleon(State& s, VertexId v) {
   // nfusion: incorporate v into a connected atom (§4.2). The paper leaves
   // the choice among connected atoms open; we take the one with the best
-  // objective delta (ties broken by connection weight), which makes every
-  // ejection a genuine local repair of the criterion being optimized.
-  const int from = s.cur().part_of(v);
-  int best = -1;
-  double best_delta = std::numeric_limits<double>::infinity();
+  // objective delta (ties go to the first atom met in v's neighbor list),
+  // which makes every ejection a genuine local repair of the criterion
+  // being optimized.
+  const Partition& cur = s.cur();
+  const int from = cur.part_of(v);
   static thread_local PartMarkScratch candidates;
-  candidates.begin(s.cur().num_parts());
-  Weight ext_from = 0.0;
-  {
-    const auto nbrs = g_->neighbors(v);
-    const auto ws = g_->neighbor_weights(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const int q = s.cur().part_of(nbrs[i]);
-      if (q == from) {
-        ext_from += ws[i];
-      } else {
-        candidates.add_weight(q, ws[i]);
-      }
-    }
-  }
+  const Weight ext_from = cur.neighbor_parts(v, candidates);
+  ObjectiveTracker::TrialMove best;
+  best.delta = std::numeric_limits<double>::infinity();
   for (int q : candidates.marked()) {
-    const double delta = detail::move_delta_from_profile(
-        s.cur(), options_.objective, v, q, ext_from, candidates.weight(q));
-    if (delta < best_delta) {
-      best_delta = delta;
-      best = q;
-    }
+    const auto trial =
+        s.tracker.trial_move(v, q, {ext_from, candidates.weight(q)});
+    if (trial.delta < best.delta) best = trial;
   }
-  if (best == -1) {
-    // Isolated from every other atom: pick any other non-empty atom.
-    for (int q : s.cur().nonempty_parts()) {
+  if (best.target == -1) {
+    // Isolated from every other atom: pick any other non-empty atom (v has
+    // no edge into it).
+    for (int q : cur.nonempty_parts()) {
       if (q != from) {
-        best = q;
+        best = s.tracker.trial_move(v, q, {ext_from, 0.0});
         break;
       }
     }
   }
-  if (best != -1 && s.cur().part_size(from) > 1) {
-    s.tracker.move(v, best);
+  if (best.target != -1 && cur.part_size(from) > 1) {
+    s.tracker.move(best);
     ++s.result->ejections;
   }
-  return best;
+  return best.target;
 }
 
 void FusionFission::split_atom(State& s, int atom, Rng& rng) {

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "partition/objective_tracker.hpp"
-#include "partition/part_scratch.hpp"
 #include "util/check.hpp"
 
 namespace ffp {
@@ -43,7 +42,7 @@ AnnealingResult SimulatedAnnealing::run(const Partition& initial,
           rng.below(static_cast<std::uint64_t>(g_->num_vertices())));
       const int target = static_cast<int>(rng.below(static_cast<std::uint64_t>(k_)));
       if (target == tracker.partition().part_of(v)) continue;
-      const double d = std::abs(tracker.move_delta(v, target));
+      const double d = std::abs(tracker.trial_move(v, target).delta);
       if (d > 0.0) samples.push_back(d);
     }
     std::sort(samples.begin(), samples.end());
@@ -80,24 +79,20 @@ AnnealingResult SimulatedAnnealing::run(const Partition& initial,
     const int from = current.part_of(v);
     if (current.part_size(from) <= 1) continue;  // keep k parts alive
 
-    int target = -1;
+    // One neighbor scan covers the target draw, the acceptance test and
+    // the apply.
+    ObjectiveTracker::TrialMove trial;
     if (temperature > options_.high_temp_fraction * tmax) {
-      target = part_with_lowest_internal();
+      const int target = part_with_lowest_internal();
+      if (target == -1 || target == from) continue;
+      trial = tracker.trial_move(v, target);
     } else {
-      connected.begin(current.num_parts());
-      for (VertexId u : g_->neighbors(v)) {
-        const int q = current.part_of(u);
-        if (q != from) connected.mark(q);
-      }
-      if (!connected.marked().empty()) {
-        target = connected.marked()[rng.below(connected.marked().size())];
-      }
+      const Weight own = current.neighbor_parts(v, connected);
+      if (connected.marked().empty()) continue;
+      const int target =
+          connected.marked()[rng.below(connected.marked().size())];
+      trial = tracker.trial_move(v, target, {own, connected.weight(target)});
     }
-    if (target == -1 || target == from) continue;
-
-    // trial_move's single neighbor scan covers both the acceptance test and
-    // the apply — an accepted move no longer pays a second scan.
-    const auto trial = tracker.trial_move(v, target);
     const double delta = trial.delta;
     const bool accept =
         delta <= 0.0 || rng.uniform() < std::exp(-delta / temperature);

@@ -5,9 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "partition/objective_terms.hpp"
 #include "partition/objective_tracker.hpp"
-#include "partition/part_scratch.hpp"
 #include "util/check.hpp"
 
 namespace ffp {
@@ -17,17 +15,17 @@ namespace {
 /// Boundary-localized refinement burst: strictly improving single-vertex
 /// moves only, seeded from the current cut boundary and re-queueing the
 /// neighborhood of every applied move. One "attempt" examines one queued
-/// vertex with a single O(deg) neighbor scan; all candidate targets are
-/// then scored O(1) each via the shared move identity. Moves that would
-/// empty a part are skipped, so exactly k parts survive the burst.
+/// vertex with a single O(deg) neighbor scan (Partition::neighbor_parts);
+/// all candidate targets are then priced O(1) each from it and the best
+/// trial applies without a rescan. Moves that would empty a part are
+/// skipped, so exactly k parts survive the burst.
 struct BurstStats {
   std::int64_t attempts = 0;
   std::int64_t moves = 0;
 };
 
 BurstStats boundary_refine(const Graph& g, ObjectiveTracker& tracker,
-                           ObjectiveKind kind, std::int64_t budget,
-                           std::uint64_t seed) {
+                           std::int64_t budget, std::uint64_t seed) {
   BurstStats stats;
   if (budget <= 0) return stats;
   const Partition& cur = tracker.partition();
@@ -59,36 +57,21 @@ BurstStats boundary_refine(const Graph& g, ObjectiveTracker& tracker,
     const int from = cur.part_of(v);
     if (cur.part_size(from) <= 1) continue;  // never empty a part
 
-    adjacent.begin(cur.num_parts());
-    Weight internal = 0.0;
-    const auto nbrs = g.neighbors(v);
-    const auto ws = g.neighbor_weights(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const int q = cur.part_of(nbrs[i]);
-      if (q == from) {
-        internal += ws[i];
-      } else {
-        adjacent.add_weight(q, ws[i]);
-      }
-    }
-
-    int best = -1;
+    const Weight internal = cur.neighbor_parts(v, adjacent);
     // Strictly improving with a small margin: the running value decreases
     // monotonically, so the burst can never cycle however vertices requeue.
-    double best_delta = -1e-9;
+    ObjectiveTracker::TrialMove best;
+    best.delta = -1e-9;
     for (int q : adjacent.marked()) {
-      const double delta = detail::move_delta_from_profile(
-          cur, kind, v, q, internal, adjacent.weight(q));
-      if (delta < best_delta) {
-        best_delta = delta;
-        best = q;
-      }
+      const auto trial =
+          tracker.trial_move(v, q, {internal, adjacent.weight(q)});
+      if (trial.delta < best.delta) best = trial;
     }
-    if (best == -1) continue;
+    if (best.target == -1) continue;
 
-    tracker.move(v, best, best_delta);
+    tracker.move(best);
     ++stats.moves;
-    for (VertexId u : nbrs) {
+    for (VertexId u : g.neighbors(v)) {
       if (!queued[static_cast<std::size_t>(u)]) {
         queued[static_cast<std::size_t>(u)] = 1;
         queue.push_back(u);
@@ -224,8 +207,8 @@ MlffResult mlff_partition(const Graph& g, int k, const MlffOptions& options,
     if (level_budget > 0) {
       ObjectiveTracker tracker(
           Partition::from_assignment(fine_g, parts, k), options.objective);
-      const BurstStats burst = boundary_refine(
-          fine_g, tracker, options.objective, level_budget, level_seed);
+      const BurstStats burst =
+          boundary_refine(fine_g, tracker, level_budget, level_seed);
       out.refine_attempts += burst.attempts;
       out.refine_moves += burst.moves;
       if (burst.moves > 0) {

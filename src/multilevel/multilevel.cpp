@@ -14,11 +14,6 @@ namespace ffp {
 
 namespace {
 
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) {
-  std::uint64_t s = seed ^ (salt * 0x9e3779b97f4a7c15ULL);
-  return splitmix64(s);
-}
-
 /// Greedy growing: BFS from a pseudo-peripheral vertex until side 0 holds
 /// `target_fraction` of the vertex weight.
 std::vector<int> greedy_grow_bisection(const Graph& g, double target_fraction,

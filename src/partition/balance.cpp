@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "partition/objectives.hpp"
+#include "partition/objective_terms.hpp"
 
 namespace ffp {
 
@@ -50,7 +50,7 @@ void rebalance(Partition& p, int k, double max_imbalance, Rng& rng) {
   FFP_CHECK(max_imbalance >= 1.0, "max_imbalance must be >= 1.0");
   const double avg = p.graph().total_vertex_weight() / k;
   const double cap = avg * max_imbalance;
-  const auto& cut_fn = objective(ObjectiveKind::Cut);
+  PartMarkScratch adjacent;
 
   // Bounded number of repair rounds; each round fixes the heaviest part.
   const int max_rounds = 4 * p.graph().num_vertices();
@@ -78,11 +78,12 @@ void rebalance(Partition& p, int k, double max_imbalance, Rng& rng) {
     for (std::size_t i = 0; i < members.size(); ++i) {
       const VertexId v = members[(i + offset) % members.size()];
       const double vw = p.graph().vertex_weight(v);
-      for (VertexId u : p.graph().neighbors(v)) {
-        const int t = p.part_of(u);
-        if (t == heavy) continue;
+      // One scan prices every adjacent target's Cut delta.
+      const Weight own = p.neighbor_parts(v, adjacent);
+      for (int t : adjacent.marked()) {
         if (p.part_vertex_weight(t) + vw > cap) continue;
-        const double delta = cut_fn.move_delta(p, v, t);
+        const double delta = detail::move_delta_from_profile(
+            p, ObjectiveKind::Cut, v, t, own, adjacent.weight(t));
         if (delta < best_delta) {
           best_delta = delta;
           best_v = v;

@@ -49,150 +49,69 @@ double ObjectiveTracker::part_term(int q) const {
   return detail::objective_part_term(p_, kind_, q);
 }
 
-void ObjectiveTracker::move(VertexId v, int target) {
-  const int from = p_.part_of(v);
-  if (from == target) return;
-
-  if (term_based_ && kind_ == ObjectiveKind::Cut && aux_ == nullptr) {
-    // Cut is the Partition's own total_cut_pairs — adopt it directly; no
-    // term arithmetic, no summation drift at all.
-    p_.move(v, target);
-    value_ = p_.total_cut_pairs();
-    carry_ = 0.0;
-    maybe_rescue_precision();
-    return;
-  }
-  if (term_based_) {
-    const double term_before = part_term(from) + part_term(target);
-    const double aux_before =
-        aux_ != nullptr ? aux_(p_, from) + aux_(p_, target) : 0.0;
-    p_.move(v, target);
-    compensated_add(value_, carry_,
-                    part_term(from) + part_term(target) - term_before);
-    if (aux_ != nullptr) {
-      compensated_add(aux_sum_, aux_carry_,
-                      aux_(p_, from) + aux_(p_, target) - aux_before);
-    }
-  } else {
-    // Custom objective: its move_delta is the only incremental identity we
-    // have; accumulate it around the move.
-    const double delta = fn_->move_delta(p_, v, target);
-    const double aux_before =
-        aux_ != nullptr ? aux_(p_, from) + aux_(p_, target) : 0.0;
-    p_.move(v, target);
-    compensated_add(value_, carry_, delta);
-    if (aux_ != nullptr) {
-      compensated_add(aux_sum_, aux_carry_,
-                      aux_(p_, from) + aux_(p_, target) - aux_before);
-    }
-  }
-  maybe_rescue_precision();
-}
-
-void ObjectiveTracker::move(VertexId v, int target, double known_delta) {
-  if (term_based_) {
-    move(v, target);
-    return;
-  }
-  const int from = p_.part_of(v);
-  if (from == target) return;
+template <typename Apply>
+void ObjectiveTracker::update_two_parts(int a, int b,
+                                        const double* custom_delta,
+                                        Apply&& apply) {
+  const double term_before = term_based_ ? part_term(a) + part_term(b) : 0.0;
   const double aux_before =
-      aux_ != nullptr ? aux_(p_, from) + aux_(p_, target) : 0.0;
-  p_.move(v, target);
-  compensated_add(value_, carry_, known_delta);
+      aux_ != nullptr ? aux_(p_, a) + aux_(p_, b) : 0.0;
+  apply();
+  if (!term_based_ && custom_delta == nullptr) {
+    // Custom objective with no priced delta (bulk merge/split): no term
+    // decomposition to lean on, so pay one full evaluate — custom-fn
+    // callers don't sit in the fusion hot loop.
+    resync();
+    return;
+  }
+  compensated_add(value_, carry_,
+                  term_based_ ? part_term(a) + part_term(b) - term_before
+                              : *custom_delta);
   if (aux_ != nullptr) {
     compensated_add(aux_sum_, aux_carry_,
-                    aux_(p_, from) + aux_(p_, target) - aux_before);
+                    aux_(p_, a) + aux_(p_, b) - aux_before);
   }
   maybe_rescue_precision();
 }
 
-ObjectiveTracker::TrialMove ObjectiveTracker::trial_move(VertexId v,
-                                                         int target) const {
-  TrialMove trial;
-  trial.v = v;
-  trial.target = target;
+ObjectiveTracker::TrialMove ObjectiveTracker::trial_move(
+    VertexId v, int target, Partition::MoveProfile profile) const {
+  TrialMove trial{v, target, 0.0, profile};
   if (p_.part_of(v) == target) return trial;
-  trial.profile = p_.move_profile(v, target);
-  // The profile-based delta and ObjectiveFn::move_delta share identities
-  // and operation order, so built-in criteria get the scan-free delta;
-  // custom objectives keep their own (possibly scanning) move_delta.
   trial.delta = term_based_
                     ? detail::move_delta_from_profile(
-                          p_, kind_, v, target, trial.profile.ext_from,
-                          trial.profile.ext_to)
+                          p_, kind_, v, target, profile.ext_from,
+                          profile.ext_to)
                     : fn_->move_delta(p_, v, target);
   return trial;
 }
 
 void ObjectiveTracker::move(const TrialMove& trial) {
-  const VertexId v = trial.v;
-  const int target = trial.target;
-  const int from = p_.part_of(v);
-  if (from == target) return;
-
+  const int from = p_.part_of(trial.v);
+  if (from == trial.target) return;
+  const auto apply = [&] { p_.move(trial.v, trial.target, trial.profile); };
   if (term_based_ && kind_ == ObjectiveKind::Cut && aux_ == nullptr) {
-    p_.move(v, target, trial.profile);
+    // Cut is the Partition's own total_cut_pairs — adopt it directly; no
+    // term arithmetic, no summation drift at all.
+    apply();
     value_ = p_.total_cut_pairs();
     carry_ = 0.0;
     maybe_rescue_precision();
     return;
   }
-  const double aux_before =
-      aux_ != nullptr ? aux_(p_, from) + aux_(p_, target) : 0.0;
-  if (term_based_) {
-    const double term_before = part_term(from) + part_term(target);
-    p_.move(v, target, trial.profile);
-    compensated_add(value_, carry_,
-                    part_term(from) + part_term(target) - term_before);
-  } else {
-    p_.move(v, target, trial.profile);
-    compensated_add(value_, carry_, trial.delta);
-  }
-  if (aux_ != nullptr) {
-    compensated_add(aux_sum_, aux_carry_,
-                    aux_(p_, from) + aux_(p_, target) - aux_before);
-  }
-  maybe_rescue_precision();
+  update_two_parts(from, trial.target, &trial.delta, apply);
 }
 
 void ObjectiveTracker::merge_parts(int src, int dst, Weight w_between) {
-  if (term_based_) {
-    const double term_before = part_term(src) + part_term(dst);
-    const double aux_before =
-        aux_ != nullptr ? aux_(p_, src) + aux_(p_, dst) : 0.0;
-    p_.merge_into(src, dst, w_between);
-    compensated_add(value_, carry_, part_term(dst) - term_before);
-    if (aux_ != nullptr) {
-      compensated_add(aux_sum_, aux_carry_, aux_(p_, dst) - aux_before);
-    }
-    maybe_rescue_precision();
-    return;
-  }
-  // Custom objective: no term decomposition to lean on — merge and pay one
-  // full evaluate (custom-fn callers don't sit in the fusion hot loop).
-  p_.merge_into(src, dst, w_between);
-  resync();
+  // The emptied src contributes an exact 0 term afterwards.
+  update_two_parts(src, dst, nullptr,
+                   [&] { p_.merge_into(src, dst, w_between); });
 }
 
 void ObjectiveTracker::split_part(int src, int fresh,
                                   std::span<const VertexId> moved) {
-  if (term_based_) {
-    const double term_before = part_term(src) + part_term(fresh);
-    const double aux_before =
-        aux_ != nullptr ? aux_(p_, src) + aux_(p_, fresh) : 0.0;
-    p_.split_off(src, fresh, moved);
-    compensated_add(value_, carry_,
-                    part_term(src) + part_term(fresh) - term_before);
-    if (aux_ != nullptr) {
-      compensated_add(aux_sum_, aux_carry_,
-                      aux_(p_, src) + aux_(p_, fresh) - aux_before);
-    }
-    maybe_rescue_precision();
-    return;
-  }
-  p_.split_off(src, fresh, moved);
-  resync();
+  update_two_parts(src, fresh, nullptr,
+                   [&] { p_.split_off(src, fresh, moved); });
 }
 
 void ObjectiveTracker::maybe_rescue_precision() {

@@ -13,6 +13,20 @@
 // Kahan-compensated summation keeps drift over millions of moves far below
 // the validate() tolerance.
 //
+// A move is priced, then applied, on one path:
+//
+//   const Weight own = tracker.partition().neighbor_parts(v, adjacent);
+//   for (int t : adjacent.marked()) {
+//     const auto trial = tracker.trial_move(v, t, {own, adjacent.weight(t)});
+//     ... keep the best trial ...
+//   }
+//   tracker.move(best);
+//
+// One neighbor scan prices every candidate target (O(1) each for the
+// built-in criteria) and the chosen trial applies without scanning v again.
+// trial_move(v, t) scans for a single target, and move(v, t) is
+// move(trial_move(v, t)).
+//
 // An optional auxiliary per-part term sum rides along under the same
 // two-terms-per-move update (fusion-fission uses it to cache the
 // choice_term_bias leak-ratio sum instead of rescanning all atoms each
@@ -26,8 +40,8 @@
 // value drops six orders of magnitude below it, bounding the relative drift
 // at ~1e-9 with at most a handful of O(k) rescues per descent.
 //
-// Thread safety mirrors Partition's: const members (value, move_delta,
-// trial_move, partition) are safe to call from any number of threads while
+// Thread safety mirrors Partition's: const members (value, trial_move,
+// partition) are safe to call from any number of threads while
 // no thread mutates the tracker; mutating members need exclusive access.
 #pragma once
 
@@ -54,43 +68,34 @@ class ObjectiveTracker {
   /// up to floating-point drift (see validate()).
   double value() const { return value_; }
 
-  /// Exact change in value() if v moved to `target` (0 if already there).
-  /// O(deg(v)); does not modify anything.
-  double move_delta(VertexId v, int target) const {
-    return fn_->move_delta(p_, v, target);
-  }
-
-  /// Moves v to `target`, updating the running value (and the auxiliary
-  /// sum, if tracked) in O(deg(v)).
-  void move(VertexId v, int target);
-
-  /// As move(), for callers that already computed move_delta(v, target)
-  /// for this exact state (acceptance tests in annealing/FM loops):
-  /// custom-objective tracking reuses the known delta instead of paying a
-  /// second move_delta; built-in criteria ignore it (their per-part term
-  /// update is exact and no dearer).
-  void move(VertexId v, int target, double known_delta);
-
-  /// Accept-test fast path (the ROADMAP's "move_applying_delta"): one
-  /// neighbor scan yields both the exact delta AND the connection profile
-  /// needed to apply the move, so an accepted move costs a single scan
-  /// instead of move_delta + move paying one each. Pattern:
-  ///
-  ///   const auto trial = tracker.trial_move(v, target);
-  ///   if (accept(trial.delta)) tracker.move(trial);
-  ///
-  /// trial.delta is bit-identical to move_delta(v, target), and move(trial)
-  /// leaves the tracker bit-identical to move(v, target) — the fast path
-  /// changes cost, never results. A trial is only valid against the exact
-  /// state it was computed from (checked in debug builds).
+  /// A priced move: delta is the exact change in value() if v moved to
+  /// `target` (0 if already there), and profile is what the apply reuses.
+  /// A trial is only valid against the exact state it was priced on
+  /// (checked in debug builds).
   struct TrialMove {
     VertexId v = -1;
     int target = -1;
     double delta = 0.0;
     Partition::MoveProfile profile;
   };
-  TrialMove trial_move(VertexId v, int target) const;
+
+  /// Prices v → target from a profile the caller already scanned for this
+  /// state (Partition::neighbor_parts). The built-in criteria take the O(1)
+  /// detail::move_delta_from_profile, bit-identical to their
+  /// ObjectiveFn::move_delta; a custom objective calls its own move_delta.
+  TrialMove trial_move(VertexId v, int target,
+                       Partition::MoveProfile profile) const;
+
+  /// As above, scanning v for the one target.
+  TrialMove trial_move(VertexId v, int target) const {
+    return trial_move(v, target, p_.move_profile(v, target));
+  }
+
+  /// The one apply path: moves trial.v to trial.target reusing its profile
+  /// and updates the running value (and the auxiliary sum, if tracked).
   void move(const TrialMove& trial);
+
+  void move(VertexId v, int target) { move(trial_move(v, target)); }
 
   /// Bulk fusion: merges part `src` into `dst` (Partition::merge_into) and
   /// updates the running value in O(1) on top of the O(|src|) relabel.
@@ -117,7 +122,8 @@ class ObjectiveTracker {
   double resync();
 
   // Auxiliary per-part term sum, maintained incrementally alongside the
-  // objective. Pass nullptr to stop tracking.
+  // objective. `term` must be 0 on an empty part, as every objective term
+  // is. Pass nullptr to stop tracking.
   using PartTermFn = double (*)(const Partition&, int part);
   void track_aux(PartTermFn term);
   /// Σ term(q) over non-empty parts q (0 when no aux term is tracked).
@@ -134,6 +140,14 @@ class ObjectiveTracker {
  private:
   double part_term(int q) const;
   double aux_resync();
+  /// The bookkeeping move, merge_parts and split_part share: `apply`
+  /// changes the partition in parts a and b only, the running value moves
+  /// by the change in those two parts' terms (for a custom objective by
+  /// *custom_delta, or by a full re-evaluate when that is null), and the
+  /// aux sum by the change in their aux terms.
+  template <typename Apply>
+  void update_two_parts(int a, int b, const double* custom_delta,
+                        Apply&& apply);
 
   void maybe_rescue_precision();
 

@@ -1,14 +1,11 @@
-// Epoch-stamped part-id scratch: O(1) "have I seen this part?" dedup with
-// O(1) amortized reset — the trick Partition::connections has always used,
-// factored out so every hot loop that collects the distinct parts adjacent
-// to a vertex (fusion-fission ejection/absorption, annealing's connected
-// targets, k-way FM candidate parts) shares one implementation instead of
-// an O(num_parts) std::find per neighbor.
+// Epoch-stamped per-part weight scratch: O(1) "have I seen this part?"
+// dedup with O(1) amortized reset, plus a weight accumulator on the same
+// stamps. Partition::neighbor_parts and Partition::connections fill it;
+// callers own one (thread_local where concurrent engines share code) and
+// read the adjacent parts and their connection weights back from it.
 //
 // begin() bumps the epoch instead of clearing, so a scratch reused across
-// millions of calls never pays for parts it does not touch. An optional
-// per-part weight accumulator rides on the same stamps for callers that
-// aggregate connection weights (Partition::connections).
+// millions of calls never pays for parts it does not touch.
 #pragma once
 
 #include <algorithm>
@@ -36,18 +33,12 @@ class PartMarkScratch {
     marked_.clear();
   }
 
-  /// Marks p; returns true iff p was not yet marked since begin().
-  bool mark(int p) {
-    auto& stamp = stamp_[static_cast<std::size_t>(p)];
-    if (stamp == epoch_) return false;
-    stamp = epoch_;
-    marked_.push_back(p);
-    return true;
-  }
-
-  /// Accumulates w onto p's weight cell (zeroed on first mark).
+  /// Accumulates w onto p's weight cell; p's first weight is stored as is.
   void add_weight(int p, Weight w) {
-    if (mark(p)) {
+    auto& stamp = stamp_[static_cast<std::size_t>(p)];
+    if (stamp != epoch_) {
+      stamp = epoch_;
+      marked_.push_back(p);
       acc_[static_cast<std::size_t>(p)] = w;
     } else {
       acc_[static_cast<std::size_t>(p)] += w;
@@ -56,7 +47,7 @@ class PartMarkScratch {
 
   Weight weight(int p) const { return acc_[static_cast<std::size_t>(p)]; }
 
-  /// Distinct parts marked since begin(), in first-marked order.
+  /// Distinct parts added since begin(), in first-added order.
   std::span<const int> marked() const { return marked_; }
 
  private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "partition/part_scratch.hpp"
 #include "util/stats.hpp"
 
 namespace ffp {
@@ -331,20 +330,17 @@ Partition::MoveProfile Partition::move_profile(VertexId v, int target) const {
   return prof;
 }
 
-void Partition::connections(int p, std::vector<std::pair<int, Weight>>& out) const {
+void Partition::connections(int p, PartMarkScratch& adjacent) const {
   check_part(p);
-  // Epoch-stamped accumulation keeps this O(boundary), not O(num_parts).
-  static thread_local PartMarkScratch scratch;
-  scratch.begin(num_parts());
+  adjacent.begin(num_parts());
   for (VertexId v : members_[static_cast<std::size_t>(p)]) {
     const auto nbrs = g_->neighbors(v);
     const auto ws = g_->neighbor_weights(v);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       const int pu = part_[static_cast<std::size_t>(nbrs[i])];
-      if (pu != p) scratch.add_weight(pu, ws[i]);
+      if (pu != p) adjacent.add_weight(pu, ws[i]);
     }
   }
-  for (int q : scratch.marked()) out.emplace_back(q, scratch.weight(q));
 }
 
 std::vector<int> Partition::compact() {

@@ -12,10 +12,15 @@
 //   - vertex count and vertex weight of A,
 //   - member list of A (unordered, O(1) move via swap-remove).
 //
-// Thread safety: every const member function only reads state (the one
-// internal scratch, in connections(), is thread_local), so any number of
-// threads may read one Partition concurrently as long as no thread mutates
-// it. Mutating members are not synchronized; mutation requires exclusive
+// Every move decision starts from one neighbor scan, neighbor_parts: it
+// gives v's weight to its own part and to each adjacent part, and from
+// those the caller prices every candidate target and applies the winner
+// with move(v, target, profile), without scanning v again.
+//
+// Thread safety: every const member function only reads state (scans
+// write into the caller's PartMarkScratch), so any number of threads may
+// read one Partition concurrently as long as no thread mutates it.
+// Mutating members are not synchronized; mutation requires exclusive
 // access.
 #pragma once
 
@@ -23,6 +28,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "partition/part_scratch.hpp"
 
 namespace ffp {
 
@@ -50,6 +56,29 @@ class Partition {
   int part_of(VertexId v) const {
     FFP_DCHECK(v >= 0 && v < graph().num_vertices());
     return part_[static_cast<std::size_t>(v)];
+  }
+
+  /// The one per-vertex move scan: returns v's connection weight to its
+  /// own part and leaves every other part adjacent to v, with v's
+  /// connection weight to it, in `adjacent`, in first-seen neighbor order.
+  /// {returned weight, adjacent.weight(t)} is bit-identical to
+  /// move_profile(v, t), so a caller prices every candidate from this one
+  /// scan and applies its choice with move(v, t, profile). O(deg(v)).
+  Weight neighbor_parts(VertexId v, PartMarkScratch& adjacent) const {
+    const int own = part_of(v);
+    adjacent.begin(num_parts());
+    Weight own_weight = 0.0;
+    const auto nbrs = g_->neighbors(v);
+    const auto ws = g_->neighbor_weights(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const int q = part_[static_cast<std::size_t>(nbrs[i])];
+      if (q == own) {
+        own_weight += ws[i];
+      } else {
+        adjacent.add_weight(q, ws[i]);
+      }
+    }
+    return own_weight;
   }
 
   /// Moves v to part `target` and updates all statistics in O(deg(v)).
@@ -103,15 +132,15 @@ class Partition {
   MoveProfile move_profile(VertexId v, int target) const;
 
   /// As move(v, target), reusing a profile the caller already computed for
-  /// THIS exact state (via move_profile) — skips the neighbor scan, making
-  /// the apply O(1) beyond member bookkeeping. The accept-test loops
-  /// (simulated annealing via ObjectiveTracker::trial_move) pay one scan
-  /// per step instead of two. Checked against a fresh scan in debug builds.
+  /// THIS exact state (via neighbor_parts or move_profile) — skips the
+  /// neighbor scan, making the apply O(1) beyond member bookkeeping.
+  /// Checked against a fresh scan in debug builds.
   void move(VertexId v, int target, const MoveProfile& profile);
 
-  /// Total connection weight from part p to every other part it touches.
-  /// Appends (part, weight) pairs; weight > 0. O(Σ deg over members).
-  void connections(int p, std::vector<std::pair<int, Weight>>& out) const;
+  /// Total connection weight from part p to every other part it touches,
+  /// left in `adjacent` in first-seen order over p's members and their
+  /// arcs. O(Σ deg over members).
+  void connections(int p, PartMarkScratch& adjacent) const;
 
   /// Raw assignment view (for I/O and interop).
   std::span<const int> assignment() const { return part_; }

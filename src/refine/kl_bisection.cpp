@@ -111,16 +111,15 @@ double kl_refine_kway(const Graph& g, std::vector<int>& assignment, int k,
   const double before = p.edge_cut();
 
   Rng rng(seed);
-  std::vector<std::pair<int, Weight>> conns;
+  PartMarkScratch conns;
   const int max_rounds = 4;
   for (int round = 0; round < max_rounds; ++round) {
     double round_gain = 0.0;
     // Sweep connected part pairs in a deterministic shuffled order.
     std::vector<std::pair<int, int>> pairs;
     for (int a : p.nonempty_parts()) {
-      conns.clear();
       p.connections(a, conns);
-      for (const auto& [b, w] : conns) {
+      for (const int b : conns.marked()) {
         if (b > a) pairs.emplace_back(a, b);
       }
     }

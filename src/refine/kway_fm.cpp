@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "partition/objective_tracker.hpp"
-#include "partition/part_scratch.hpp"
 
 namespace ffp {
 
@@ -36,7 +35,7 @@ KwayFmResult kway_fm_refine(Partition& p, const ObjectiveFn& objective,
   std::vector<VertexId> order(static_cast<std::size_t>(g.num_vertices()));
   std::iota(order.begin(), order.end(), 0);
 
-  PartMarkScratch tried_parts;  // scratch: adjacent parts of a vertex
+  PartMarkScratch adjacent;  // scratch: adjacent parts of a vertex
   for (int pass = 0; pass < options.max_passes; ++pass) {
     ++result.passes;
     rng.shuffle(order);
@@ -46,28 +45,21 @@ KwayFmResult kway_fm_refine(Partition& p, const ObjectiveFn& objective,
       const int from = cur.part_of(v);
       if (cur.part_size(from) <= 1) continue;  // never empty a part
 
-      // Candidate targets: parts adjacent to v.
-      tried_parts.begin(cur.num_parts());
-      for (VertexId u : g.neighbors(v)) {
-        const int t = cur.part_of(u);
-        if (t != from) tried_parts.mark(t);
-      }
-      int best_t = -1;
-      double best_delta = -1e-13;  // strict improvement only
-      for (int t : tried_parts.marked()) {
+      // Candidate targets: parts adjacent to v, all priced from one scan.
+      const Weight own = cur.neighbor_parts(v, adjacent);
+      ObjectiveTracker::TrialMove best;
+      best.delta = -1e-13;  // strict improvement only
+      for (int t : adjacent.marked()) {
         if (options.enforce_balance &&
             cur.part_vertex_weight(t) + g.vertex_weight(v) > cap) {
           continue;
         }
-        const double delta = tracker.move_delta(v, t);
-        if (delta < best_delta) {
-          best_delta = delta;
-          best_t = t;
-        }
+        const auto trial = tracker.trial_move(v, t, {own, adjacent.weight(t)});
+        if (trial.delta < best.delta) best = trial;
       }
-      if (best_t != -1) {
-        tracker.move(v, best_t, best_delta);
-        pass_gain -= best_delta;  // delta is negative
+      if (best.target != -1) {
+        tracker.move(best);
+        pass_gain -= best.delta;  // delta is negative
         ++result.moves;
       }
     }

@@ -261,6 +261,16 @@ namespace {
 /// The upper bound of every option that lands in an int.
 constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 
+/// Rejects a real-valued option outside its range with a plain error
+/// naming it; the kernels' own checks stay as invariants.
+void require(bool in_range, const char* key, const std::string& range,
+             double got) {
+  if (!in_range) {
+    throw Error(format("option '%s' must be %s, got %g", key, range.c_str(),
+                       got));
+  }
+}
+
 SectionArity parse_arity(const SolverOptions& o, SectionArity fallback) {
   return o.get_enum<SectionArity>(
       "arity", fallback,
@@ -310,6 +320,13 @@ SolverRegistry::SolverRegistry() {
             {{"binding", ScalingKind::BindingEnergy},
              {"linear", ScalingKind::Linear},
              {"identity", ScalingKind::Identity}});
+        require(opt.tmin >= 0.0, "tmin", ">= 0", opt.tmin);
+        require(opt.tmax > opt.tmin, "tmax", format("> tmin (%g)", opt.tmin),
+                opt.tmax);
+        require(opt.choice_offset > 0.0, "choice_offset", "> 0",
+                opt.choice_offset);
+        require(opt.law_delta > 0.0 && opt.law_delta < 1.0, "law_delta",
+                "in (0, 1)", opt.law_delta);
         return [opt](const Graph& g, const SolverRequest& request,
                      const StopCondition& stop) {
           FusionFissionOptions run_opt = opt;
@@ -381,6 +398,8 @@ SolverRegistry::SolverRegistry() {
             o.get_int("equilibrium", opt.equilibrium_rejections, 0, kIntMax));
         opt.high_temp_fraction =
             o.get_double("high_temp_fraction", opt.high_temp_fraction);
+        require(opt.cooling > 0.0 && opt.cooling < 1.0, "cooling", "in (0, 1)",
+                opt.cooling);
         return [opt](const Graph& g, const SolverRequest& request,
                      const StopCondition& stop) {
           AnnealingOptions run_opt = opt;
@@ -413,6 +432,8 @@ SolverRegistry::SolverRegistry() {
         opt.beta = o.get_double("beta", opt.beta);
         opt.walk_length = static_cast<int>(
             o.get_int("walk_length", opt.walk_length, 0, kIntMax));
+        require(opt.evaporation > 0.0 && opt.evaporation < 1.0, "evaporation",
+                "in (0, 1)", opt.evaporation);
         return [opt](const Graph& g, const SolverRequest& request,
                      const StopCondition& stop) {
           AntColonyOptions run_opt = opt;
@@ -444,6 +465,8 @@ SolverRegistry::SolverRegistry() {
         opt.max_imbalance = o.get_double("max_imbalance", opt.max_imbalance);
         opt.final_kway_refine =
             o.get_bool("final_refine", opt.final_kway_refine);
+        require(opt.max_imbalance >= 1.0, "max_imbalance", ">= 1",
+                opt.max_imbalance);
         return [opt](const Graph& g, const SolverRequest& request,
                      const StopCondition&) {
           MultilevelOptions run_opt = opt;
@@ -474,6 +497,9 @@ SolverRegistry::SolverRegistry() {
         opt.max_imbalance = o.get_double("max_imbalance", opt.max_imbalance);
         opt.tolerance = o.get_double("tolerance", opt.tolerance);
         const bool final_refine = o.get_bool("final_refine", true);
+        require(opt.max_imbalance >= 1.0, "max_imbalance", ">= 1",
+                opt.max_imbalance);
+        require(opt.tolerance > 0.0, "tolerance", "> 0", opt.tolerance);
         return [opt, final_refine](const Graph& g,
                                    const SolverRequest& request,
                                    const StopCondition&) {

@@ -67,11 +67,6 @@ std::vector<int> sign_section(const Graph& g,
 
 namespace {
 
-std::uint64_t splitmix64_mix(std::uint64_t seed, std::uint64_t salt) {
-  std::uint64_t s = seed ^ (salt * 0x9e3779b97f4a7c15ULL);
-  return splitmix64(s);
-}
-
 /// Recursively partitions the subgraph induced by `vertices` into k parts,
 /// writing part ids offset..offset+k-1 into `out`.
 void recurse(const Graph& parent, std::vector<VertexId> vertices, int k,
@@ -138,7 +133,7 @@ void recurse(const Graph& parent, std::vector<VertexId> vertices, int k,
   for (int s = 0; s < actual; ++s) {
     recurse(parent, std::move(groups[static_cast<std::size_t>(s)]),
             per_section, offset + s * per_section, options,
-            splitmix64_mix(seed, static_cast<std::uint64_t>(s)), out);
+            mix_seed(seed, static_cast<std::uint64_t>(s)), out);
   }
 }
 

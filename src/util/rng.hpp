@@ -23,6 +23,13 @@ inline std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+/// Sub-seed `salt` of `seed`: one splitmix64 step from seed ^ salt·φ, so
+/// the stages of one run draw independent streams from its one seed.
+inline std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) {
+  std::uint64_t s = seed ^ (salt * 0x9e3779b97f4a7c15ULL);
+  return splitmix64(s);
+}
+
 /// xoshiro256** by Blackman & Vigna — fast, high-quality, tiny state.
 class Rng {
  public:

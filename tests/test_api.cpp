@@ -254,6 +254,17 @@ TEST(Problem, BadGeneratorArgumentsFailPlainlyNamingTheArgument) {
       {"geometric:100,0.1,1e300", "geometric argument 3 (seed)"},
       {"random:100,1e300", "random argument 2 (m)"},
       {"atc:1e300", "atc argument 1 (seed)"},
+      {"grid2d:0,4", "grid2d argument 1 (rows)"},
+      {"torus:2,2", "torus argument 1 (rows)"},
+      {"cycle:2", "cycle argument 1 (n)"},
+      {"path:0", "path argument 1 (n)"},
+      {"star:0", "star argument 1 (leaves)"},
+      {"barbell:1", "barbell argument 1 (clique)"},
+      {"geometric:10,0", "geometric argument 2 (radius)"},
+      {"powerlaw:100,4,1.5", "powerlaw argument 3 (gamma)"},
+      {"random:10,1000", "random argument 2 (m)"},
+      {"atc:1,4", "atc argument 2 (sectors)"},
+      {"atc:1,20,5", "atc argument 3 (edges)"},
   };
   for (const auto& [spec, name] : cases) {
     try {
@@ -265,6 +276,23 @@ TEST(Problem, BadGeneratorArgumentsFailPlainlyNamingTheArgument) {
       EXPECT_EQ(what.find("FFP_CHECK"), std::string::npos) << what;
       EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
     }
+  }
+}
+
+TEST(Engine, KAboveTheVertexCountFailsPlainlyNamingBoth) {
+  api::Engine engine;
+  api::SolveSpec spec;
+  spec.k = 100;
+  spec.steps = 10;
+  try {
+    (void)engine.submit(api::Problem::generated("grid2d:8,8"), spec);
+    ADD_FAILURE() << "k = 100 on 64 vertices was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("k = 100"), std::string::npos) << what;
+    EXPECT_NE(what.find("64"), std::string::npos) << what;
+    EXPECT_EQ(what.find("FFP_CHECK"), std::string::npos) << what;
+    EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "graph/generators.hpp"
@@ -81,7 +82,7 @@ TEST(ObjectiveTracker, TracksBulkMergeAndSplit) {
           rng.below(static_cast<std::uint64_t>(g.num_vertices())));
       t.move(v, static_cast<int>(rng.below(8)));
     }
-    std::vector<std::pair<int, Weight>> conns;
+    PartMarkScratch conns;
     std::vector<VertexId> moved;
     for (int round = 0; round < 300; ++round) {
       const auto& p = t.partition();
@@ -89,11 +90,11 @@ TEST(ObjectiveTracker, TracksBulkMergeAndSplit) {
       const int atom = parts[rng.below(parts.size())];
       if (rng.below(2) == 0 && parts.size() >= 2) {
         // Merge with a connected neighbor part (or skip if isolated).
-        conns.clear();
         p.connections(atom, conns);
-        if (conns.empty()) continue;
-        const auto [partner, w] = conns[rng.below(conns.size())];
-        t.merge_parts(atom, partner, w);
+        const auto partners = conns.marked();
+        if (partners.empty()) continue;
+        const int partner = partners[rng.below(partners.size())];
+        t.merge_parts(atom, partner, conns.weight(partner));
       } else if (p.part_size(atom) >= 2) {
         // Split off a random non-empty proper subset.
         const auto members = p.members(atom);
@@ -132,7 +133,7 @@ TEST(ObjectiveTracker, MoveDeltaMatchesTrialMoveOracle) {
           rng.below(static_cast<std::uint64_t>(g.num_vertices())));
       const int target = static_cast<int>(
           rng.below(static_cast<std::uint64_t>(t.partition().num_parts())));
-      const double delta = t.move_delta(v, target);
+      const double delta = t.trial_move(v, target).delta;
       scratch = t.partition();
       const double oracle =
           trial_move_delta(scratch, v, target, t.objective_fn());
@@ -144,11 +145,12 @@ TEST(ObjectiveTracker, MoveDeltaMatchesTrialMoveOracle) {
 }
 
 TEST(ObjectiveTracker, TrialMoveFastPathMatchesMoveExactly) {
-  // The single-scan accept-test path: trial_move's delta must be bitwise
-  // equal to move_delta, and applying the trial must leave the tracker in
-  // the bitwise-identical state plain move() would have produced —
-  // simulated annealing's results may not shift by a single ulp.
+  // The single-scan path: a trial priced from a neighbor_parts profile must
+  // carry a delta bitwise equal to ObjectiveFn::move_delta, and applying it
+  // must leave the tracker in the bitwise-identical state plain move()
+  // would have produced — refiners and annealing may not shift by an ulp.
   const auto g = with_random_weights(make_grid2d(8, 7), 0.5, 7.5, 13);
+  PartMarkScratch adjacent;
   for (const auto kind : kAllKinds) {
     Rng rng(77);
     ObjectiveTracker fast(Partition(g, 5), kind);
@@ -158,8 +160,14 @@ TEST(ObjectiveTracker, TrialMoveFastPathMatchesMoveExactly) {
           rng.below(static_cast<std::uint64_t>(g.num_vertices())));
       const int target = static_cast<int>(
           rng.below(static_cast<std::uint64_t>(fast.partition().num_parts())));
-      const auto trial = fast.trial_move(v, target);
-      ASSERT_EQ(trial.delta, slow.move_delta(v, target))
+      const Weight own = fast.partition().neighbor_parts(v, adjacent);
+      const bool adjacent_target =
+          std::ranges::find(adjacent.marked(), target) !=
+          adjacent.marked().end();
+      const auto trial = fast.trial_move(
+          v, target, {own, adjacent_target ? adjacent.weight(target) : 0.0});
+      ASSERT_EQ(trial.delta,
+                slow.objective_fn().move_delta(slow.partition(), v, target))
           << objective_name(kind) << " at step " << step;
       if (step % 3 != 0) {  // mix accepted and "rejected" moves
         fast.move(trial);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/generators.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
@@ -123,14 +125,45 @@ TEST(Partition, MoveProfileMatchesExtDegrees) {
   }
 }
 
+TEST(Partition, NeighborPartsMatchMoveProfileBitwise) {
+  // The one scan must hand back exactly the profile move_profile would
+  // compute for every adjacent target, in first-seen neighbor order, so a
+  // move priced and applied from it is bit-identical to a scanned one.
+  const auto g = with_random_weights(make_grid2d(7, 7), 0.5, 9.5, 14);
+  std::vector<int> assign(49);
+  Rng rng(15);
+  for (auto& a : assign) a = static_cast<int>(rng.below(5));
+  const auto p = Partition::from_assignment(g, assign, 5);
+  PartMarkScratch adjacent;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const Weight own = p.neighbor_parts(v, adjacent);
+    std::vector<int> first_seen;
+    for (VertexId u : g.neighbors(v)) {
+      const int q = p.part_of(u);
+      if (q != p.part_of(v) &&
+          std::find(first_seen.begin(), first_seen.end(), q) ==
+              first_seen.end()) {
+        first_seen.push_back(q);
+      }
+    }
+    ASSERT_TRUE(std::ranges::equal(adjacent.marked(), first_seen));
+    EXPECT_EQ(own, p.move_profile(v, p.part_of(v)).ext_from);
+    for (const int t : adjacent.marked()) {
+      const auto prof = p.move_profile(v, t);
+      EXPECT_EQ(own, prof.ext_from);  // bitwise, not NEAR
+      EXPECT_EQ(adjacent.weight(t), prof.ext_to);
+    }
+  }
+}
+
 TEST(Partition, ConnectionsMatchBruteForce) {
   const auto g = with_random_weights(make_grid2d(5, 5), 1.0, 3.0, 6);
   std::vector<int> assign(25);
   Rng rng(12);
   for (auto& a : assign) a = static_cast<int>(rng.below(4));
   const auto p = Partition::from_assignment(g, assign, 4);
+  PartMarkScratch conns;
   for (int q : p.nonempty_parts()) {
-    std::vector<std::pair<int, Weight>> conns;
     p.connections(q, conns);
     // Brute force.
     std::vector<Weight> expect(4, 0.0);
@@ -144,9 +177,9 @@ TEST(Partition, ConnectionsMatchBruteForce) {
       }
     }
     std::vector<Weight> got(4, 0.0);
-    for (const auto& [b, w] : conns) {
-      EXPECT_GT(w, 0.0);
-      got[static_cast<std::size_t>(b)] = w;
+    for (const int b : conns.marked()) {
+      EXPECT_GT(conns.weight(b), 0.0);
+      got[static_cast<std::size_t>(b)] = conns.weight(b);
     }
     for (int b = 0; b < 4; ++b) {
       EXPECT_NEAR(got[static_cast<std::size_t>(b)],

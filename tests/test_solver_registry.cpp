@@ -132,6 +132,15 @@ TEST(Registry, BadSpecsFailPlainlyNamingTheOption) {
       {"linear:arity=4294967298", "arity"},
       {"fusion_fission:nbt=4294967297", "nbt"},
       {"percolation:max_rounds=-1", "max_rounds"},
+      {"annealing:cooling=2", "cooling"},
+      {"ant_colony:evaporation=5", "evaporation"},
+      {"fusion_fission:tmax=0.01", "tmax"},
+      {"fusion_fission:tmin=-1", "tmin"},
+      {"fusion_fission:law_delta=2", "law_delta"},
+      {"fusion_fission:choice_offset=0", "choice_offset"},
+      {"multilevel:max_imbalance=0.5", "max_imbalance"},
+      {"spectral:max_imbalance=0.5", "max_imbalance"},
+      {"spectral:tolerance=0", "tolerance"},
   };
   for (const auto& [spec, option] : cases) {
     try {
